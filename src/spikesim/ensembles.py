@@ -30,10 +30,7 @@ class EnsembleSpec:
 
     ``variance_profile`` is the n x n matrix of entry variances sigma^2_ij for
     the generalized Wigner kinds (default: flat 1/n).  ``gamma_w`` bounds
-    n*sigma^2_ij away from 0 and infinity, ``xi_w`` records the
-    power-subexponential tail exponent (informational; tails are not checked),
-    and (``eps_w``, ``c_w``) parametrize the allowed moment perturbation for
-    the weakly-Wigner validator.
+    n*sigma^2_ij away from 0 and infinity.
     """
 
     kind: str
@@ -41,10 +38,7 @@ class EnsembleSpec:
     entry_law: str | None = None
     variance_profile: np.ndarray | None = None
     field: str = "R"
-    xi_w: float = 1.0
     gamma_w: float = 10.0
-    eps_w: float = 0.5
-    c_w: float = 8.0
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:

@@ -48,9 +48,6 @@ class SweepReport:
     version: str = __version__
     wall_time_s: float | None = None
 
-    def summary_for(self, theta_index: int) -> ThetaSummary:
-        return self.summaries[theta_index]
-
 
 def summarize_trials(theta: float, losses, prediction) -> ThetaSummary:
     """Aggregate per-trial losses with the per-theta prediction."""

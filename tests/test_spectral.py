@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spikesim.spectral
 from spikesim import (
     BracketError,
     HermitianMatrix,
@@ -70,6 +71,50 @@ def test_top_eigenpair_dominates_diagonal(seed):
     assert est.eigenvalue >= np.max(np.diag(w.entries)) - 1e-12
     assert np.linalg.norm(est.eigenvector) == pytest.approx(1.0, abs=1e-12)
     assert est.gap >= 0.0
+
+
+def _spiked_instance(n, field, seed, theta=2.0):
+    if field == "R":
+        v = stream(seed, "signal").standard_normal(n)
+        w = sample_goe(n, stream(seed, "noise"))
+    else:
+        g = stream(seed, "signal")
+        v = g.standard_normal(n) + 1j * g.standard_normal(n)
+        w = sample_gue(n, stream(seed, "noise"))
+    return build_spiked(SpikeConfig(theta=theta, v=v / np.linalg.norm(v)), w)
+
+
+def _assert_matches_full_eigh(h):
+    # the subset eigensolver against the full dense reference it replaced
+    vals, vecs = np.linalg.eigh(h.entries)
+    est = top_eigenpair(h)
+    tol = 1e-12 * max(1.0, abs(vals[-1]))
+    assert abs(est.eigenvalue - vals[-1]) <= tol
+    assert abs(est.gap - (vals[-1] - vals[-2])) <= tol
+    if est.gap > 1e-8:
+        assert np.max(np.abs(est.eigenvector - fix_phase(vecs[:, -1]))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 400])
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_top_eigenpair_matches_full_eigh(n, field):
+    h = _spiked_instance(n, field, seed=n)
+    assert h.is_real == (field == "R")
+    _assert_matches_full_eigh(h)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=9), st.sampled_from(["R", "C"]),
+       st.floats(min_value=0.0, max_value=4.0), st.integers(min_value=0, max_value=10 ** 9))
+def test_top_eigenpair_matches_full_eigh_random(n, field, theta, seed):
+    _assert_matches_full_eigh(_spiked_instance(n, field, seed, theta))
+
+
+def test_top_eigenpair_tied_top_eigenvalue():
+    est = top_eigenpair(HermitianMatrix(np.eye(4)))
+    assert est.eigenvalue == pytest.approx(1.0, abs=1e-14)
+    assert est.gap == 0.0
+    assert np.linalg.norm(est.eigenvector) == pytest.approx(1.0, abs=1e-14)
 
 
 # ----------------------------------------------------------------- fix_phase
@@ -205,6 +250,26 @@ def test_secular_root_explicit_bracket():
     with pytest.raises(BracketError):
         # bracket strictly above the root: no sign change
         secular_root(w.entries, v, 3.0, bracket=(auto + 1.0, auto + 2.0))
+
+
+@pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
+def test_secular_root_default_bracket_matches_full_eigvalsh(sampler, monkeypatch):
+    n, theta = 60, 2.0
+    v = unit(np.ones(n))
+    w = sampler(n, 12)
+    lam_top = float(np.linalg.eigvalsh(w.entries)[-1])
+    shifts = []
+    solve = spikesim.spectral.resolvent_solve
+
+    def recording_solve(wm, z, b):
+        shifts.append(z)
+        return solve(wm, z, b)
+
+    monkeypatch.setattr(spikesim.spectral, "resolvent_solve", recording_solve)
+    secular_root(w, v, theta)
+    # the first two solves evaluate f at the bracket ends
+    assert abs(shifts[0] - (lam_top + 0.05)) <= 1e-12
+    assert abs(shifts[1] - (lam_top + theta + 1.0)) <= 1e-12
 
 
 def test_secular_root_argument_validation():
