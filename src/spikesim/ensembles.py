@@ -14,11 +14,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .groups import (CyclicGroup, Group, character, difference, haar_sample,
-                     identity_element, inverse)
+                     identity_element, inverse, real_field)
 from .matrices import HermitianMatrix, symmetrize
 from .rng import as_generator
 
-ENSEMBLE_KINDS = ("goe", "gue", "generalized-wigner", "weakly-wigner")
+ENSEMBLE_KINDS = ("goe", "gue", "generalized-wigner")
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform-centered")
 
 ROW_SUM_TOL = 1e-8
@@ -140,7 +140,7 @@ def sample_generalized_wigner(spec: EnsembleSpec, seed) -> HermitianMatrix:
     imaginary parts are i.i.d. copies of the entry law scaled to variance
     sigma^2/2 each; diagonals are always real with variance sigma^2_ii.
     """
-    if spec.kind not in ("generalized-wigner", "weakly-wigner"):
+    if spec.kind != "generalized-wigner":
         raise ValidationError(f"sampler expects a generalized-wigner spec, got kind {spec.kind!r}")
     validate_ensemble_spec(spec)
     rng = as_generator(seed)
@@ -279,7 +279,7 @@ def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
         raise ValidationError("Y is not group-Hermitian")
     n = y.shape[0]
     c = character(group, y) / np.sqrt(n)
-    if isinstance(group, CyclicGroup) and group.order == 2:
+    if real_field(group):
         return HermitianMatrix(c.real.copy())
     return HermitianMatrix(symmetrize(c))
 

@@ -16,7 +16,6 @@ from .errors import ValidationError
 
 TWO_PI = 2.0 * np.pi
 
-ROUND_KINDS = ("nearest-character", "phase")
 LOSS_KINDS = ("mismatch", "one-minus-cos")
 
 
@@ -58,6 +57,25 @@ def parse_group(text: str) -> Group:
             raise ValidationError(f"bad cyclic group syntax {text!r}") from None
         return CyclicGroup(order)
     raise ValidationError(f"unrecognized group {text!r} (expected 'Z/L' or 'U(1)')")
+
+
+def rounding_rule(group: Group) -> str:
+    """Name of the group's rounding rule (see ``round_to_group``)."""
+    return "nearest-character" if isinstance(group, CyclicGroup) else "phase"
+
+
+def default_loss(group: Group) -> str:
+    """The loss a group is scored with unless a table loss is given."""
+    return "mismatch" if isinstance(group, CyclicGroup) else "one-minus-cos"
+
+
+def real_field(group: Group) -> bool:
+    """True iff the group's characters are real, i.e. the group is Z/2.
+
+    Its observation matrices, planted vectors and Gaussian noise are then
+    real; for every other group they are complex.
+    """
+    return isinstance(group, CyclicGroup) and group.order == 2
 
 
 def identity_element(group: Group):
@@ -137,50 +155,23 @@ def pairwise_matrix(group: Group, x) -> np.ndarray:
     return difference(group, x[:, None], x[None, :])
 
 
-def _check_round_kind(group: Group, rounding: str) -> None:
-    if rounding not in ROUND_KINDS:
-        raise ValidationError(f"unknown rounding kind {rounding!r}")
-    if isinstance(group, CyclicGroup) and rounding != "nearest-character":
-        raise ValidationError("cyclic groups round by nearest-character")
-    if isinstance(group, CircleGroup) and rounding != "phase":
-        raise ValidationError("the circle group rounds by phase")
+def round_to_group(group: Group, z):
+    """Map real or complex numbers to the nearest group element.
 
-
-def round_to_group(group: Group, z, rounding: str = None):
-    """Map complex numbers to group elements.
-
-    Cyclic: argmin over the L character values of |z - chi(k)| (ties resolve
-    to the smaller residue because argmin takes the first minimum; z = 0 is
-    sent to the identity explicitly).  Circle: the phase angle of z, with
-    z = 0 mapped to the identity.
+    Cyclic: the residue k whose character exp(2*pi*i*k/L) is nearest to z,
+    found from t = arg(z) * L / (2*pi) in [-L/2, L/2] as ceil(t - 1/2) mod L.
+    Ties go to the smaller residue, including the tie between L-1 and 0 at
+    t = -1/2.  Circle: the phase angle of z.  z = 0 maps to the identity.
     """
-    if rounding is None:
-        rounding = "nearest-character" if isinstance(group, CyclicGroup) else "phase"
-    _check_round_kind(group, rounding)
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
+    z = np.asarray(z)
     if isinstance(group, CyclicGroup):
-        table = character_table(group)
-        flat = z.reshape(-1)
-        out = np.empty(flat.shape, dtype=np.int64)
-        # chunk the (points x L) distance table to bound memory
-        step = max(1, (1 << 22) // group.order)
-        for lo in range(0, flat.size, step):
-            block = flat[lo:lo + step]
-            d2 = np.abs(block[:, None] - table[None, :]) ** 2
-            out[lo:lo + step] = np.argmin(d2, axis=1)
-        # all characters are equidistant from the origin, but only exactly so
-        # in exact arithmetic; route z = 0 to the identity explicitly
-        out[flat == 0] = 0
-        result = out.reshape(z.shape)
-    else:
-        ang = _wrap_angle(np.angle(z))
-        result = np.where(z == 0, 0.0, ang)
-    return result[0] if scalar else result
+        t = np.angle(z) / TWO_PI * group.order
+        k = np.where((t == -0.5) | (z == 0), 0.0, np.ceil(t - 0.5))
+        return np.mod(k.astype(np.int64), group.order)
+    return np.where(z == 0, 0.0, _wrap_angle(np.angle(z)))[()]
 
 
-def estimate_group_matrix(group: Group, v_hat: np.ndarray, rounding: str = None) -> np.ndarray:
+def estimate_group_matrix(group: Group, v_hat: np.ndarray) -> np.ndarray:
     """Entrywise rounding of n * v_hat_i * conj(v_hat_j) to group elements.
 
     This is the plug-in estimate of the relative-alignment matrix from a unit
@@ -192,7 +183,7 @@ def estimate_group_matrix(group: Group, v_hat: np.ndarray, rounding: str = None)
         raise ValidationError("v_hat must be a nonempty vector")
     n = v_hat.size
     t = n * np.outer(v_hat, np.conj(v_hat))
-    return round_to_group(group, t, rounding)
+    return round_to_group(group, t)
 
 
 @dataclass(frozen=True)
@@ -222,10 +213,8 @@ def _check_loss(group: Group, loss: LossSpec) -> None:
         return
     if loss not in LOSS_KINDS:
         raise ValidationError(f"unknown loss {loss!r}")
-    if loss == "mismatch" and not isinstance(group, CyclicGroup):
-        raise ValidationError("mismatch loss is defined for cyclic groups only")
-    if loss == "one-minus-cos" and not isinstance(group, CircleGroup):
-        raise ValidationError("one-minus-cos loss is defined for the circle group only")
+    if loss != default_loss(group):
+        raise ValidationError(f"{loss} loss is not defined for {group}")
 
 
 def loss_values(group: Group, truth, estimate, loss: LossSpec) -> np.ndarray:

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from ..errors import ValidationError
-from ..groups import CyclicGroup, parse_group
+from ..groups import parse_group, real_field
 from ..predictions import predict_sync_loss, z2_mismatch_exact
 from .config import parse_sweep_config, parse_universality_config
 from .report import (load_sweep_report, write_sweep_csv, write_sweep_json,
@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--group", required=True, help="Z/L or U(1)")
     predict.add_argument("--theta", type=float, required=True)
     predict.add_argument("--loss", default=None, help="mismatch or one-minus-cos")
-    predict.add_argument("--round", default=None, dest="rounding",
-                         help="nearest-character or phase")
     predict.add_argument("--samples", type=int, default=1_000_000)
     predict.add_argument("--seed", type=int, default=0)
 
@@ -113,14 +111,12 @@ def _cmd_universality(args) -> int:
 
 def _cmd_predict(args) -> int:
     group = parse_group(args.group)
-    estimate = predict_sync_loss(group, args.theta, rounding=args.rounding,
-                                 loss=args.loss, n_samples=args.samples,
-                                 seed=args.seed)
+    estimate = predict_sync_loss(group, args.theta, loss=args.loss,
+                                 n_samples=args.samples, seed=args.seed)
     print(f"{estimate.label} theta={args.theta:g}")
     print(f"mean={estimate.mean!r} stderr={estimate.stderr!r} "
           f"n_samples={estimate.n_samples}")
-    if (isinstance(group, CyclicGroup) and group.order == 2
-            and (args.loss is None or args.loss == "mismatch")):
+    if real_field(group) and (args.loss is None or args.loss == "mismatch"):
         print(f"closed_form={z2_mismatch_exact(args.theta)!r}")
     return 0
 

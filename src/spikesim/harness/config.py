@@ -13,7 +13,7 @@ import numpy as np
 
 from ..ensembles import EnsembleSpec
 from ..errors import ValidationError
-from ..groups import CyclicGroup, Group, parse_group
+from ..groups import Group, default_loss, parse_group, rounding_rule
 
 NOISE_MODELS = ("truth-or-haar", "gaussian-additive")
 PHI_NAMES = ("tanh", "cos", "sin")
@@ -103,13 +103,11 @@ class SweepConfig:
             if self.noise_model == "truth-or-haar" and theta / np.sqrt(self.n) > 1.0:
                 raise ValidationError(
                     f"truth-or-haar requires p = theta/sqrt(n) <= 1; theta = {theta}, n = {self.n}")
-        expected_round = "nearest-character" if isinstance(self.group, CyclicGroup) else "phase"
-        if self.rounding != expected_round:
-            raise ValidationError(f"group {self.group} rounds by {expected_round!r}, "
+        if self.rounding != rounding_rule(self.group):
+            raise ValidationError(f"group {self.group} rounds by {rounding_rule(self.group)!r}, "
                                   f"got {self.rounding!r}")
-        expected_loss = "mismatch" if isinstance(self.group, CyclicGroup) else "one-minus-cos"
-        if self.loss != expected_loss:
-            raise ValidationError(f"group {self.group} uses loss {expected_loss!r} "
+        if self.loss != default_loss(self.group):
+            raise ValidationError(f"group {self.group} uses loss {default_loss(self.group)!r} "
                                   f"in sweeps, got {self.loss!r}")
 
     def with_overrides(self, out_dir: str | None = None,
@@ -152,7 +150,7 @@ class SweepConfig:
 
 SWEEP_KEYS = {
     "group": True, "n": True, "theta_grid": True, "trials": True,
-    "noise_model": True, "round": False, "loss": False, "mc_samples": False,
+    "noise_model": True, "mc_samples": False,
     "master_seed": True, "out_dir": False,
 }
 
@@ -160,16 +158,14 @@ SWEEP_KEYS = {
 def parse_sweep_config(path: str) -> SweepConfig:
     pairs = _take(_parse_kv_file(path), SWEEP_KEYS, path)
     group = parse_group(pairs["group"])
-    default_round = "nearest-character" if isinstance(group, CyclicGroup) else "phase"
-    default_loss = "mismatch" if isinstance(group, CyclicGroup) else "one-minus-cos"
     return SweepConfig(
         group=group,
         n=_parse_int(pairs["n"], "n"),
         theta_grid=_parse_grid(pairs["theta_grid"]),
         trials=_parse_int(pairs["trials"], "trials"),
         noise_model=pairs["noise_model"],
-        rounding=pairs.get("round", default_round),
-        loss=pairs.get("loss", default_loss),
+        rounding=rounding_rule(group),
+        loss=default_loss(group),
         mc_samples=_parse_int(pairs.get("mc_samples", "1000000"), "mc_samples"),
         master_seed=_parse_int(pairs["master_seed"], "master_seed"),
         out_dir=pairs.get("out_dir", "."),

@@ -9,8 +9,8 @@ import numpy as np
 
 from ..ensembles import (SpikeConfig, build_spiked, sample_goe, sample_gue,
                          sample_truth_or_haar, sync_observation_matrix)
-from ..groups import (CyclicGroup, average_loss, character, estimate_group_matrix,
-                      haar_sample, pairwise_matrix)
+from ..groups import (average_loss, character, estimate_group_matrix, haar_sample,
+                      pairwise_matrix, real_field)
 from ..predictions import predict_sync_loss
 from ..rng import derive_key, stream
 from ..spectral import top_eigenpair
@@ -20,7 +20,7 @@ from .report import SweepReport, ThetaSummary, TrialRecord, summarize_trials
 
 def _planted_vector(group, x, n: int) -> np.ndarray:
     v = character(group, x) / np.sqrt(n)
-    if isinstance(group, CyclicGroup) and group.order == 2:
+    if real_field(group):
         return v.real.copy()
     return v
 
@@ -37,11 +37,10 @@ def _run_trial(config: SweepConfig, theta_index: int, theta: float, trial: int) 
         h = sync_observation_matrix(group, y)
     else:
         v = _planted_vector(group, x, n)
-        real_case = isinstance(group, CyclicGroup) and group.order == 2
-        noise = sample_goe(n, noise_rng) if real_case else sample_gue(n, noise_rng)
+        noise = sample_goe(n, noise_rng) if real_field(group) else sample_gue(n, noise_rng)
         h = build_spiked(SpikeConfig(theta, v), noise)
     estimate = top_eigenpair(h)
-    m_hat = estimate_group_matrix(group, estimate.eigenvector, config.rounding)
+    m_hat = estimate_group_matrix(group, estimate.eigenvector)
     m_true = pairwise_matrix(group, x)
     loss = average_loss(group, m_true, m_hat, config.loss)
     return TrialRecord(theta_index=theta_index, theta=float(theta), trial=trial,
@@ -67,8 +66,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     summaries = []
     for ti, theta in enumerate(config.theta_grid):
         prediction = predict_sync_loss(
-            config.group, theta, rounding=config.rounding, loss=config.loss,
-            n_samples=config.mc_samples,
+            config.group, theta, loss=config.loss, n_samples=config.mc_samples,
             seed=derive_key(config.master_seed, "prediction", ti))
         losses = [r.empirical_loss for r in records if r.theta_index == ti]
         summaries.append(summarize_trials(theta, losses, prediction))

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .groups import (CyclicGroup, Group, LossSpec, character, difference,
-                     haar_sample, loss_values, round_to_group)
+from .groups import (Group, LossSpec, character, default_loss, difference,
+                     haar_sample, loss_values, real_field, round_to_group,
+                     rounding_rule)
 from .limits import overlap_limit, residual_variance_limit
 from .rng import stream
 
@@ -85,9 +86,9 @@ def _chunked_mc(sample_fn, n_samples: int, seed: int, chunk_size: int):
     return mean, math.sqrt(var / n_samples)
 
 
-def predict_sync_loss(group: Group, theta: float, rounding: str = None,
-                      loss: LossSpec = None, n_samples: int = DEFAULT_SAMPLES,
-                      seed: int = 0, chunk_size: int = DEFAULT_CHUNK) -> PredictionEstimate:
+def predict_sync_loss(group: Group, theta: float, loss: LossSpec = None,
+                      n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
+                      chunk_size: int = DEFAULT_CHUNK) -> PredictionEstimate:
     """Monte Carlo value of the limiting average loss for a synchronization run.
 
     Samples x, y Haar on the group and g, h standard F-Gaussians (F = R iff
@@ -99,11 +100,9 @@ def predict_sync_loss(group: Group, theta: float, rounding: str = None,
         raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("seed must be an int (named chunk streams are derived from it)")
-    if rounding is None:
-        rounding = "nearest-character" if isinstance(group, CyclicGroup) else "phase"
     if loss is None:
-        loss = "mismatch" if isinstance(group, CyclicGroup) else "one-minus-cos"
-    field = "R" if isinstance(group, CyclicGroup) and group.order == 2 else "C"
+        loss = default_loss(group)
+    field = "R" if real_field(group) else "C"
     rho = math.sqrt(overlap_limit(theta))
     tau = math.sqrt(residual_variance_limit(theta))
 
@@ -114,11 +113,11 @@ def predict_sync_loss(group: Group, theta: float, rounding: str = None,
         h = _gaussians(rng, m, field)
         prod = (rho * character(group, x) + tau * g) \
             * (rho * np.conj(character(group, y)) + tau * np.conj(h))
-        decoded = round_to_group(group, prod, rounding)
+        decoded = round_to_group(group, prod)
         return loss_values(group, difference(group, x, y), decoded, loss)
 
     mean, err = _chunked_mc(draw, int(n_samples), int(seed), int(chunk_size))
-    label = f"{group} {loss if isinstance(loss, str) else 'table'} {rounding}"
+    label = f"{group} {loss if isinstance(loss, str) else 'table'} {rounding_rule(group)}"
     return PredictionEstimate(mean=mean, stderr=err, n_samples=int(n_samples),
                               theta=theta, label=label)
 

@@ -224,12 +224,6 @@ def test_sampler_rejects_goe_spec():
         sample_generalized_wigner(EnsembleSpec(kind="goe", n=10), 0)
 
 
-def test_weakly_wigner_kind_uses_same_sampler():
-    a = sample_generalized_wigner(flat_spec(25, "gaussian"), 9).entries
-    b = sample_generalized_wigner(flat_spec(25, "gaussian", kind="weakly-wigner"), 9).entries
-    assert np.array_equal(a, b)
-
-
 def test_dispatch_matches_direct_samplers():
     assert np.array_equal(sample_ensemble(EnsembleSpec(kind="goe", n=15), 4).entries,
                           sample_goe(15, 4).entries)

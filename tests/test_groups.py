@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spikesim.errors import ValidationError
 from spikesim.groups import (CircleGroup, CyclicGroup, TableLoss, average_loss,
@@ -124,6 +125,12 @@ def test_round_tie_goes_to_smaller_residue():
     # (1+i)/2 is equidistant from 1 and i
     assert round_to_group(Z4, 0.5 + 0.5j) == 0
     assert round_to_group(Z2, 0.0 + 1.0j) == 0  # equidistant from +-1
+    assert round_to_group(Z4, -1.0 + 1.0j) == 1  # i and -1
+    # the wrap-around tie between L-1 and 0 goes to 0
+    assert round_to_group(Z2, -1.0j) == 0
+    assert round_to_group(Z4, 1.0 - 1.0j) == 0
+    # exp(2*pi*i/3) and exp(4*pi*i/3) are mirror images only in exact arithmetic
+    assert round_to_group(CyclicGroup(3), -1.0 + 0.0j) == 1
 
 
 def test_round_circle():
@@ -135,15 +142,6 @@ def test_round_circle():
     assert vals[2] == 0.0 and ((0 <= vals) & (vals < TWO_PI)).all()
 
 
-def test_round_kind_validation():
-    with pytest.raises(ValidationError):
-        round_to_group(Z4, 1.0, rounding="phase")
-    with pytest.raises(ValidationError):
-        round_to_group(U1, 1.0, rounding="nearest-character")
-    with pytest.raises(ValidationError):
-        round_to_group(Z4, 1.0, rounding="banana")
-
-
 def test_round_inverts_character():
     for order in range(2, 25):
         g = CyclicGroup(order)
@@ -153,13 +151,34 @@ def test_round_inverts_character():
     assert np.allclose(round_to_group(U1, character(U1, ang)), ang, atol=1e-12)
 
 
-def test_round_matches_bruteforce_oracle():
-    rng = stream(4, "round-oracle")
-    z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    for g in (Z2, Z4, CyclicGroup(7)):
-        tab = character_table(g)
-        expect = np.array([int(np.argmin(np.abs(t - tab))) for t in z])
-        assert np.array_equal(round_to_group(g, z), expect)
+def _table_round(group, z):
+    """Reference rounding: argmin of |z - chi(k)|^2 over the character table.
+
+    Returns the residues and the gap between the two smallest distances.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    d2 = np.abs(z[..., None] - character_table(group)) ** 2
+    two = np.sort(d2, axis=-1)[..., :2]
+    return np.where(z == 0, 0, np.argmin(d2, axis=-1)), two[..., 1] - two[..., 0]
+
+
+_coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@given(st.integers(2, 24), st.booleans(),
+       hnp.array_shapes(min_dims=0, max_dims=2, max_side=6), st.data())
+def test_round_matches_bruteforce_oracle(order, real, shape, data):
+    g = CyclicGroup(order)
+    if real:
+        z = data.draw(hnp.arrays(np.float64, shape, elements=_coords))
+    else:
+        z = data.draw(hnp.arrays(np.complex128, shape,
+                                 elements=st.builds(complex, _coords, _coords)))
+    got = round_to_group(g, z)
+    assert np.shape(got) == z.shape
+    expect, gap = _table_round(g, z)
+    clear = gap > 1e-12 * (1.0 + np.abs(z) ** 2)
+    assert np.array_equal(np.asarray(got)[clear], expect[clear])
 
 
 def test_estimate_group_matrix_noiseless():

@@ -5,6 +5,7 @@ artifacts regardless of worker count or output location, and JSON reports must
 survive a load/emit round trip unchanged.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -108,6 +109,9 @@ def test_parse_sweep_config_circle_defaults(tmp_path):
     (lambda t: t.replace("n = 60", "n = sixty"), "expected an integer"),
     (lambda t: t.replace("n = 60", "just some words"), "expected 'key = value'"),
     (lambda t: t.replace("1.5, 2.5", "0.8, 2.5"), "exceed 1"),
+    # each group fixes its own rounding rule and sweep loss
+    (lambda t: t + "round = nearest-character\n", "unknown config keys"),
+    (lambda t: t + "loss = mismatch\n", "unknown config keys"),
 ])
 def test_parse_sweep_config_errors(tmp_path, mangle, fragment):
     path = write_config(tmp_path, mangle(SWEEP_TEXT))
@@ -303,6 +307,50 @@ def test_nonfinite_values_refuse_to_serialize(tmp_path):
     report = SweepReport(config=cfg, records=(rec,), summaries=(summ,))
     with pytest.raises(ValueError):
         write_sweep_csv(report, str(tmp_path / "bad.csv"))
+
+
+# Report digests of two small sweeps: a change to any byte a sweep writes
+# shows up here.  Taken with numpy 2.4 / scipy 1.17 on OpenBLAS 0.3.31
+# (x86-64); a different LAPACK build may move the last bits of the
+# eigenvectors and with them these digests.
+CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "configs")
+
+Z5_SWEEP_TEXT = """\
+group = Z/5
+n = 120
+theta_grid = 1.5, 2.5
+trials = 4
+noise_model = truth-or-haar
+mc_samples = 20000
+master_seed = 11
+"""
+
+PINNED_REPORTS = {
+    "sweep-quick": {
+        "csv": "a1b4768ca44819b7ea749c659a8870d8576c097318c62ea7e4350aeef8a63e62",
+        "json": "4663354d8aab9770e6f0cd3b6b8e870014e1e8629083be2bd29d6edf7dac121c",
+        "svg": "ced8cb82d60b5d03638859ea9b84dcf69a5647eb2341d6c05c06a13acdf0cd61",
+    },
+    "z5-truth-or-haar": {
+        "csv": "7b3b5366970723067062959493b3cd8e30e27104ad4f5f160e15d69c19799015",
+        "json": "5b91da0c9f3ceeb9d884f88825be3ee8d54be0f16e7e8ed4fb86ace3cabf888a",
+        "svg": "c64cb2e0c937481e3ee22f2e15f8a29dcdffb3dcecbfb4bd80dcd29e5fbab827",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_pinned(tmp_path, name):
+    if name == "sweep-quick":
+        cfg_path = os.path.join(CONFIGS_DIR, "sweep-quick.cfg")
+    else:
+        cfg_path = write_config(tmp_path, Z5_SWEEP_TEXT)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", cfg_path, "--out-dir", str(out_dir)]) == 0
+    digests = {ext: hashlib.sha256((out_dir / f"report.{ext}").read_bytes()).hexdigest()
+               for ext in ("csv", "json", "svg")}
+    assert digests == PINNED_REPORTS[name]
 
 
 # -------------------------------------------------------------- universality
