@@ -80,10 +80,12 @@ def semicircle_cauchy_transform(z: complex) -> complex:
     roots, which selects the solution decaying like 1/z at infinity.  Computed
     in the rationalized form 2 / (z + sqrt(z - 2) sqrt(z + 2)); the textbook
     difference formula loses ~|z|*eps to cancellation and misses the 1/z
-    asymptotics already at |z| ~ 1e6.
+    asymptotics already at |z| ~ 1e6.  Both factors keep the imaginary part
+    of z, signed zero included, so they sit on the same side of the cut
+    (z + 2.0 would turn -0j into +0j).
     """
     z = _check_off_cut(z)
-    root = np.sqrt(complex(z - 2.0)) * np.sqrt(complex(z + 2.0))
+    root = np.sqrt(complex(z.real - 2.0, z.imag)) * np.sqrt(complex(z.real + 2.0, z.imag))
     return complex(2.0 / (z + root))
 
 

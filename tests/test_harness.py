@@ -110,8 +110,10 @@ def test_parse_sweep_config_circle_defaults(tmp_path):
     (lambda t: t.replace("n = 60", "just some words"), "expected 'key = value'"),
     (lambda t: t.replace("1.5, 2.5", "0.8, 2.5"), "exceed 1"),
     # each group fixes its own rounding rule and sweep loss
-    (lambda t: t + "round = nearest-character\n", "unknown config keys"),
-    (lambda t: t + "loss = mismatch\n", "unknown config keys"),
+    pytest.param(lambda t: t + "round = nearest-character\n", "unknown config keys",
+                 id="round-key-removed"),
+    pytest.param(lambda t: t + "loss = mismatch\n", "unknown config keys",
+                 id="loss-key-removed"),
 ])
 def test_parse_sweep_config_errors(tmp_path, mangle, fragment):
     path = write_config(tmp_path, mangle(SWEEP_TEXT))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from spikesim.limits import (outlier_eigenvalue, overlap_limit,
@@ -127,6 +127,7 @@ def test_quadratic_relation_property(z):
 
 
 @given(off_cut)
+@example(complex(-3.0, -0.0))
 def test_decaying_branch_property(z):
     # the physical branch satisfies |G| <= 1 off the cut (equality on the cut edge)
     g = semicircle_cauchy_transform(z)
