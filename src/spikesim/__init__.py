@@ -15,8 +15,7 @@ from .matrices import HermitianMatrix, symmetrize
 from .ensembles import (EnsembleSpec, SpikeConfig, build_spiked, is_group_hermitian,
                         moment_profile, sample_ensemble, sample_generalized_wigner,
                         sample_goe, sample_gue, sample_truth_or_haar,
-                        sync_observation_matrix, validate_ensemble_spec,
-                        validate_wigner_moment_profile)
+                        sync_observation_matrix, validate_wigner_moment_profile)
 from .spectral import (SpectralEstimate, eigvec_via_resolvent, fix_phase,
                        local_law_residual, overlap_sq, resolvent_solve, secular_root,
                        top_eigenpair)
@@ -35,7 +34,7 @@ __all__ = [
     "semicircle_density", "semicircle_cauchy_transform",
     "semicircle_cauchy_transform_deriv",
     "HermitianMatrix", "symmetrize",
-    "EnsembleSpec", "validate_ensemble_spec", "sample_goe", "sample_gue",
+    "EnsembleSpec", "sample_goe", "sample_gue",
     "sample_generalized_wigner", "sample_ensemble", "SpikeConfig", "build_spiked",
     "sample_truth_or_haar", "is_group_hermitian", "sync_observation_matrix",
     "validate_wigner_moment_profile", "moment_profile",

@@ -23,14 +23,17 @@ ENTRY_LAWS = ("gaussian", "rademacher", "uniform-centered")
 
 ROW_SUM_TOL = 1e-8
 
+EPS_W = 0.5
+C_W = 8.0
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Description of a noise ensemble.
 
     ``variance_profile`` is the n x n matrix of entry variances sigma^2_ij for
-    the generalized Wigner kinds (default: flat 1/n).  ``gamma_w`` bounds
-    n*sigma^2_ij away from 0 and infinity.
+    the generalized Wigner kinds (default ``None``: flat 1/n, never
+    materialized).  ``gamma_w`` bounds n*sigma^2_ij away from 0 and infinity.
     """
 
     kind: str
@@ -61,44 +64,32 @@ class EnsembleSpec:
                     f"entry_law must be one of {ENTRY_LAWS} for {self.kind}, got {self.entry_law!r}")
         if self.gamma_w < 1.0:
             raise ValidationError("gamma_w must be >= 1")
-        if self.variance_profile is not None:
-            prof = np.asarray(self.variance_profile, dtype=np.float64)
-            object.__setattr__(self, "variance_profile", prof)
-
-    def profile(self) -> np.ndarray:
-        """The variance profile, materializing the flat default."""
-        if self.variance_profile is not None:
-            return self.variance_profile
-        return np.full((self.n, self.n), 1.0 / self.n)
-
-
-def validate_ensemble_spec(spec: EnsembleSpec) -> None:
-    """Check the generalized-Wigner profile conditions (row sums, bounds).
-
-    Raises ValidationError listing the violating rows.  GOE/GUE specs are
-    always valid by construction.
-    """
-    if spec.kind in ("goe", "gue"):
-        return
-    prof = spec.profile()
-    n = spec.n
-    if prof.shape != (n, n):
-        raise ValidationError(f"variance profile shape {prof.shape} does not match n = {n}")
-    if not np.array_equal(prof, prof.T):
-        raise ValidationError("variance profile must be symmetric")
-    if np.any(prof < 0):
-        raise ValidationError("variance profile must be nonnegative")
-    row_sums = prof.sum(axis=1)
-    bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
-    if bad.size:
-        shown = ", ".join(f"row {i}: sum {row_sums[i]:.12g}" for i in bad[:5])
-        more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
-        raise ValidationError(f"variance profile rows must sum to 1; violations: {shown}{more}")
-    scaled = n * prof
-    if np.any(scaled < 1.0 / spec.gamma_w - 1e-12) or np.any(scaled > spec.gamma_w + 1e-12):
-        raise ValidationError(
-            f"n*sigma^2 must lie in [{1.0 / spec.gamma_w:.4g}, {spec.gamma_w:.4g}]; "
-            f"observed range [{scaled.min():.4g}, {scaled.max():.4g}]")
+        if self.variance_profile is None:
+            return
+        # a given profile is checked once, here; the read-only copy keeps later
+        # edits of the caller's array from slipping past the checks
+        prof = np.array(self.variance_profile, dtype=np.float64)
+        n = self.n
+        if prof.shape != (n, n):
+            raise ValidationError(f"variance profile shape {prof.shape} does not match n = {n}")
+        if not np.array_equal(prof, prof.T):
+            raise ValidationError("variance profile must be symmetric")
+        if np.any(prof < 0):
+            raise ValidationError("variance profile must be nonnegative")
+        row_sums = prof.sum(axis=1)
+        bad = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOL)
+        if bad.size:
+            shown = ", ".join(f"row {i}: sum {row_sums[i]:.12g}" for i in bad[:5])
+            more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
+            raise ValidationError(f"variance profile rows must sum to 1; violations: {shown}{more}")
+        scaled = n * prof
+        gamma = self.gamma_w
+        if np.any(scaled < 1.0 / gamma - 1e-12) or np.any(scaled > gamma + 1e-12):
+            raise ValidationError(
+                f"n*sigma^2 must lie in [{1.0 / gamma:.4g}, {gamma:.4g}]; "
+                f"observed range [{scaled.min():.4g}, {scaled.max():.4g}]")
+        prof.setflags(write=False)
+        object.__setattr__(self, "variance_profile", prof)
 
 
 def sample_goe(n: int, seed) -> HermitianMatrix:
@@ -142,13 +133,15 @@ def sample_generalized_wigner(spec: EnsembleSpec, seed) -> HermitianMatrix:
     """
     if spec.kind != "generalized-wigner":
         raise ValidationError(f"sampler expects a generalized-wigner spec, got kind {spec.kind!r}")
-    validate_ensemble_spec(spec)
     rng = as_generator(seed)
     n = spec.n
-    prof = spec.profile()
+    prof = spec.variance_profile
     iu = np.triu_indices(n, 1)
-    sig = np.sqrt(prof[iu])
-    m = sig.size
+    m = iu[0].size
+    if prof is None:
+        sig = sig_diag = np.sqrt(1.0 / n)
+    else:
+        sig, sig_diag = np.sqrt(prof[iu]), np.sqrt(np.diag(prof))
     if spec.field == "R":
         w = np.zeros((n, n))
         w[iu] = _unit_variance_draws(spec.entry_law, rng, m) * sig
@@ -160,7 +153,7 @@ def sample_generalized_wigner(spec: EnsembleSpec, seed) -> HermitianMatrix:
         im = _unit_variance_draws(spec.entry_law, rng, m) * scale
         w[iu] = re + 1.0j * im
         w = w + w.conj().T
-    d = _unit_variance_draws(spec.entry_law, rng, n) * np.sqrt(np.diag(prof))
+    d = _unit_variance_draws(spec.entry_law, rng, n) * sig_diag
     w[np.diag_indices(n)] = d
     return HermitianMatrix(w)
 
@@ -312,17 +305,16 @@ def _pooled(values: np.ndarray) -> tuple[float, float]:
     return float(v.mean()), se
 
 
-def validate_wigner_moment_profile(samples, field: str, eps_w: float = 0.5,
-                                   c_w: float = 8.0) -> MomentProfileReport:
+def validate_wigner_moment_profile(samples, field: str) -> MomentProfileReport:
     """Test that sampled noise matrices match the flat Wigner moment profile
-    up to an O(n^{-1-eps_w}) perturbation.
+    up to an O(n^{-1-eps_w}) perturbation, eps_w = ``EPS_W`` = 1/2.
 
     Pooled over all off-diagonal entries and samples: the mean must vanish,
     and the second moments of the real/imaginary parts must equal 1/n (R case)
     resp. 1/(2n) each with vanishing cross-moment (C case), within
-    c_w * n^{-1-eps_w} plus three pooled standard errors.  The diagonal only
-    needs E W_ii^2 <= c_w / n (its mean may be nonzero; the centered sync
-    model has a deterministic diagonal).
+    c_w * n^{-1-eps_w} (c_w = ``C_W`` = 8) plus three pooled standard errors.  The
+    diagonal only needs E W_ii^2 <= c_w / n (its mean may be nonzero; the
+    centered sync model has a deterministic diagonal).
     """
     if field not in ("R", "C"):
         raise ValidationError(f"field must be 'R' or 'C', got {field!r}")
@@ -335,7 +327,7 @@ def validate_wigner_moment_profile(samples, field: str, eps_w: float = 0.5,
     iu = np.triu_indices(n, 1)
     off = np.concatenate([m[iu] for m in mats])
     diag = np.concatenate([np.real(np.diag(m)) for m in mats])
-    slack = c_w * n ** (-1.0 - eps_w)
+    slack = C_W * n ** (-1.0 - EPS_W)
     checks = []
 
     def add(name, observed, target, allowance, kind="abs"):
@@ -367,19 +359,23 @@ def validate_wigner_moment_profile(samples, field: str, eps_w: float = 0.5,
         cross, se_cross = _pooled(re * im)
         add("offdiag-cross-moment", cross, 0.0, slack + 3.0 * se_cross)
     d2, se_d2 = _pooled(diag ** 2)
-    add("diag-second-moment-bound", d2, c_w / n, 3.0 * se_d2, kind="upper")
+    add("diag-second-moment-bound", d2, C_W / n, 3.0 * se_d2, kind="upper")
     return MomentProfileReport(field=field, n=n, n_samples=len(mats), checks=tuple(checks))
 
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """Analytic per-entry second moments of an ensemble (off-diagonal entries
-    described by n x n arrays; diagonal variances separate)."""
+    """Analytic per-entry second moments of an ensemble.
 
-    re2: np.ndarray
-    im2: np.ndarray
-    cross: np.ndarray
-    diag_var: np.ndarray
+    A field is a float when it is the same for every entry, as for GOE, GUE
+    and flat Wigner.  A given variance profile makes ``re2`` (and ``im2`` for
+    field C) n x n arrays and ``diag_var`` a length-n array.
+    """
+
+    re2: float | np.ndarray
+    im2: float | np.ndarray
+    cross: float | np.ndarray
+    diag_var: float | np.ndarray
     field: str
 
 
@@ -387,15 +383,12 @@ def moment_profile(spec: EnsembleSpec) -> MomentProfile:
     """Analytic moment profile used by the universality moment-matching gate."""
     n = spec.n
     if spec.kind == "goe":
-        return MomentProfile(np.full((n, n), 1.0 / n), np.zeros((n, n)), np.zeros((n, n)),
-                             np.full(n, 2.0 / n), "R")
+        return MomentProfile(1.0 / n, 0.0, 0.0, 2.0 / n, "R")
     if spec.kind == "gue":
-        half = np.full((n, n), 0.5 / n)
-        return MomentProfile(half, half.copy(), np.zeros((n, n)), np.full(n, 1.0 / n), "C")
-    validate_ensemble_spec(spec)
-    prof = spec.profile()
+        return MomentProfile(0.5 / n, 0.5 / n, 0.0, 1.0 / n, "C")
+    prof = spec.variance_profile
+    var, diag = (1.0 / n, 1.0 / n) if prof is None else (prof, np.diag(prof))
     if spec.field == "R":
-        return MomentProfile(prof.copy(), np.zeros((n, n)), np.zeros((n, n)),
-                             np.diag(prof).copy(), "R")
-    return MomentProfile(prof / 2.0, prof / 2.0, np.zeros((n, n)),
-                         np.diag(prof).copy(), "C")
+        return MomentProfile(var, 0.0, 0.0, diag, "R")
+    half = var / 2.0
+    return MomentProfile(half, half, 0.0, diag, "C")

@@ -139,7 +139,8 @@ def character_table(group: CyclicGroup) -> np.ndarray:
 def character(group: Group, x):
     """The standard injective character: exp(2*pi*i*x/L) resp. exp(i*x)."""
     if isinstance(group, CyclicGroup):
-        return character_table(group)[canonicalize(group, x)]
+        # mode="wrap" reduces any integer representative mod L
+        return np.take(character_table(group), np.asarray(x, dtype=np.int64), mode="wrap")
     return np.exp(1.0j * np.asarray(x, dtype=np.float64))
 
 

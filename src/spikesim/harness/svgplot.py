@@ -17,6 +17,7 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 SERIES_COLORS = {"truth-or-haar": "#1f6fb4", "gaussian-additive": "#c75127"}
 PREDICTION_COLOR = "#2e8b3d"
 FALLBACK_COLOR = "#555555"
+TITLE = "average loss vs signal strength"
 
 
 def _px(x: float) -> str:
@@ -48,8 +49,8 @@ def _axes_for(reports) -> _Axes:
                  0.0, 1.1 * top if top > 0 else 1.0)
 
 
-def render_sweep_svg(reports, title: str = "average loss vs signal strength") -> str:
-    """Render one or more sweep reports into a single SVG string.
+def render_sweep_svg(reports) -> str:
+    """Render one or more sweep reports into a single SVG string titled ``TITLE``.
 
     Empirical means are drawn with +-stderr bars; the prediction curve of the
     first report is overlaid (reports sharing a grid share predictions).
@@ -65,7 +66,7 @@ def render_sweep_svg(reports, title: str = "average loss vs signal strength") ->
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{_px(WIDTH / 2)}" y="22" font-family="monospace" font-size="13" '
-        f'text-anchor="middle">{title}</text>',
+        f'text-anchor="middle">{TITLE}</text>',
     ]
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
@@ -122,8 +123,7 @@ def render_sweep_svg(reports, title: str = "average loss vs signal strength") ->
     return "\n".join(parts) + "\n"
 
 
-def write_sweep_svg(reports, path: str, title: str = "average loss vs signal strength",
-                    ) -> None:
-    text = render_sweep_svg(reports, title=title)
+def write_sweep_svg(reports, path: str) -> None:
+    text = render_sweep_svg(reports)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..ensembles import (SpikeConfig, build_spiked, sample_goe, sample_gue,
                          sample_truth_or_haar, sync_observation_matrix)
+from ..errors import ValidationError
 from ..groups import (average_loss, character, estimate_group_matrix, haar_sample,
                       pairwise_matrix, real_field)
 from ..predictions import predict_sync_loss
@@ -56,6 +57,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     the GIL).
     """
     start = time.perf_counter()
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     tasks = [(ti, theta, t) for ti, theta in enumerate(config.theta_grid)
              for t in range(config.trials)]
     if workers > 1 and tasks:

@@ -22,6 +22,7 @@ from .limits import semicircle_cauchy_transform
 from .matrices import HermitianMatrix
 
 SOLVE_RTOL = 1e-10
+LOCAL_LAW_EDGE_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -213,17 +214,17 @@ def eigvec_via_resolvent(w, eigval: float, v: np.ndarray,
     return fix_phase(x / np.linalg.norm(x))
 
 
-def local_law_residual(w, z: complex, x: np.ndarray, y: np.ndarray,
-                       edge_margin: float = 0.1) -> float:
+def local_law_residual(w, z: complex, x: np.ndarray, y: np.ndarray) -> float:
     """|x* R_W(z) y - G(z) <x, y>| with G the semicircle Cauchy transform.
 
     For Wigner noise this isotropic residual decays like n^{-1/2} at fixed z
-    outside the bulk.  Shifts with Re(z) <= 2 + edge_margin are refused.
+    outside the bulk.  Shifts with Re(z) <= 2 + ``LOCAL_LAW_EDGE_MARGIN`` (0.1)
+    are refused.
     """
     z = complex(z)
-    if z.real <= 2.0 + edge_margin:
-        raise ValueError(
-            f"Re(z) = {z.real} is inside the guarded spectral region (need > {2.0 + edge_margin})")
+    if z.real <= 2.0 + LOCAL_LAW_EDGE_MARGIN:
+        raise ValueError(f"Re(z) = {z.real} is inside the guarded spectral region "
+                         f"(need > {2.0 + LOCAL_LAW_EDGE_MARGIN})")
     x = _check_unit(x, "x")
     y = _check_unit(y, "y")
     if x.shape != y.shape:

@@ -22,10 +22,10 @@ from spikesim import (
     sample_truth_or_haar,
     stream,
     sync_observation_matrix,
-    validate_ensemble_spec,
     validate_wigner_moment_profile,
 )
-from spikesim.ensembles import circle_distance
+from spikesim.ensembles import ENTRY_LAWS, circle_distance
+from spikesim.harness.universality import check_moment_match
 from spikesim.groups import haar_sample
 
 Z2 = parse_group("Z/2")
@@ -67,17 +67,15 @@ def test_spec_dimension_validation():
 def test_profile_row_sum_validation():
     n = 6
     prof = np.full((n, n), 1.0 / n)
-    good = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                        variance_profile=prof)
-    validate_ensemble_spec(good)  # flat rows sum to 1 exactly enough
+    EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                 variance_profile=prof)  # flat rows sum to 1 exactly enough
 
     bad = prof.copy()
     bad[2, :] += 1e-3 / n
     bad[:, 2] = bad[2, :]
-    spec = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                        variance_profile=bad)
     with pytest.raises(ValidationError, match="sum to 1"):
-        validate_ensemble_spec(spec)
+        EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                     variance_profile=bad)
 
 
 def test_profile_gamma_bounds():
@@ -89,13 +87,12 @@ def test_profile_gamma_bounds():
     prof[0, 1] = prof[1, 0] = 1.0 / n - delta
     prof[0, 0] += delta
     prof[1, 1] += delta
-    spec = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                        variance_profile=prof, gamma_w=2.0)
     with pytest.raises(ValidationError, match="n\\*sigma\\^2"):
-        validate_ensemble_spec(spec)
-    loose = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                         variance_profile=prof, gamma_w=10.0)
-    validate_ensemble_spec(loose)  # 0.1 is exactly the loose lower edge
+        EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                     variance_profile=prof, gamma_w=2.0)
+    # 0.1 is exactly the loose lower edge
+    EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                 variance_profile=prof, gamma_w=10.0)
     with pytest.raises(ValidationError):
         EnsembleSpec(kind="goe", n=4, gamma_w=0.5)
     with pytest.raises(ValidationError, match="nonnegative"):
@@ -103,22 +100,20 @@ def test_profile_gamma_bounds():
         neg[0, 1] = neg[1, 0] = -1.0 / n
         neg[0, 0] += 2.0 / n
         neg[1, 1] += 2.0 / n
-        validate_ensemble_spec(EnsembleSpec(kind="generalized-wigner", n=n,
-                                            entry_law="gaussian", variance_profile=neg))
+        EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                     variance_profile=neg)
 
 
 def test_profile_symmetry_and_shape_validation():
     n = 5
     asym = np.full((n, n), 1.0 / n)
     asym[0, 1] = 2.0 / n
-    spec = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                        variance_profile=asym)
     with pytest.raises(ValidationError, match="symmetric"):
-        validate_ensemble_spec(spec)
-    wrong = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                         variance_profile=np.full((n + 1, n + 1), 1.0 / (n + 1)))
+        EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                     variance_profile=asym)
     with pytest.raises(ValidationError, match="shape"):
-        validate_ensemble_spec(wrong)
+        EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                     variance_profile=np.full((n + 1, n + 1), 1.0 / (n + 1)))
 
 
 # ------------------------------------------------------------------ gaussians
@@ -415,7 +410,7 @@ def test_validator_accepts_centered_sync_model():
         mean = p * character(Z2, pairwise_matrix(Z2, x)).real / np.sqrt(n)
         np.fill_diagonal(mean, 1.0 / np.sqrt(n))
         mats.append(h - mean)
-    report = validate_wigner_moment_profile(mats, "R", eps_w=0.5)
+    report = validate_wigner_moment_profile(mats, "R")
     assert report.passed, [c for c in report.checks if not c.passed]
 
 
@@ -447,6 +442,7 @@ def test_moment_profile_goe():
     assert np.all(prof.re2 == 0.1)
     assert np.all(prof.im2 == 0.0)
     assert np.all(prof.diag_var == 0.2)
+    assert all(isinstance(v, float) for v in (prof.re2, prof.im2, prof.cross, prof.diag_var))
 
 
 def test_moment_profile_gue():
@@ -456,6 +452,7 @@ def test_moment_profile_gue():
     assert np.all(prof.im2 == 0.05)
     assert np.all(prof.cross == 0.0)
     assert np.all(prof.diag_var == 0.1)
+    assert all(isinstance(v, float) for v in (prof.re2, prof.im2, prof.cross, prof.diag_var))
 
 
 def test_moment_profile_flat_wigner_matches_goe_offdiag():
@@ -467,3 +464,60 @@ def test_moment_profile_flat_wigner_matches_goe_offdiag():
     cprof = moment_profile(cspec)
     assert np.all(cprof.re2 == 0.05)
     assert np.all(cprof.im2 == 0.05)
+
+
+# ---------------------------------- scalar fast paths against explicit arrays
+# The flat default profile and the classical moment profiles stay scalars;
+# an explicit np.full((n, n), 1/n) profile is the array reference they replace.
+
+def _flat_pair(n, law, field):
+    flat = EnsembleSpec(kind="generalized-wigner", n=n, entry_law=law, field=field)
+    explicit = EnsembleSpec(kind="generalized-wigner", n=n, entry_law=law, field=field,
+                            variance_profile=np.full((n, n), 1.0 / n))
+    return flat, explicit
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("law", ENTRY_LAWS)
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_flat_profile_samples_match_explicit_profile(n, law, field):
+    flat, explicit = _flat_pair(n, law, field)
+    for seed in (0, 41):
+        a = sample_generalized_wigner(flat, seed).entries
+        b = sample_generalized_wigner(explicit, seed).entries
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("law", ENTRY_LAWS)
+def test_flat_moment_profile_matches_explicit_profile(law, field):
+    n = 9
+    flat, explicit = _flat_pair(n, law, field)
+    pf, pe = moment_profile(flat), moment_profile(explicit)
+    assert pf.field == pe.field == field
+    off = ~np.eye(n, dtype=bool)
+    for name in ("re2", "im2", "cross"):
+        scalar, array = getattr(pf, name), getattr(pe, name)
+        assert isinstance(scalar, float)
+        assert np.array_equal(np.broadcast_to(scalar, (n, n))[off],
+                              np.broadcast_to(array, (n, n))[off])
+    assert isinstance(pf.diag_var, float)
+    assert np.array_equal(np.broadcast_to(pf.diag_var, n), pe.diag_var)
+    classical = EnsembleSpec(kind="goe" if field == "R" else "gue", n=n, field=field)
+    check_moment_match(classical, explicit)
+    check_moment_match(explicit, classical)
+    check_moment_match(classical, flat)
+
+
+def test_given_profile_is_a_read_only_copy():
+    n = 6
+    prof = np.full((n, n), 1.0 / n)
+    spec = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                        variance_profile=prof)
+    assert not spec.variance_profile.flags.writeable
+    with pytest.raises(ValueError):
+        spec.variance_profile[0, 0] = 1.0
+    before = sample_generalized_wigner(spec, 3).entries
+    prof[0, 1] = prof[1, 0] = 5.0  # the caller's array is not the spec's
+    assert np.array_equal(sample_generalized_wigner(spec, 3).entries, before)
+

@@ -74,6 +74,18 @@ def test_character_is_a_homomorphism_cyclic(order, x, y):
     assert abs(lhs - character(g, x) * character(g, y)) <= 1e-12
 
 
+@given(st.integers(2, 24), hnp.array_shapes(min_dims=0, max_dims=2, max_side=6), st.data())
+def test_character_matches_canonical_table_lookup(order, shape, data):
+    # character looks the table up with mode="wrap" instead of a modulo pass
+    g = CyclicGroup(order)
+    x = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-3 * order, 3 * order)))
+    got = character(g, x)
+    want = character_table(g)[canonicalize(g, x)]
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(character(g, x.tolist()), want)  # Python ints and lists
+
+
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_character_is_a_homomorphism_circle(x, y):
     lhs = character(U1, compose(U1, x, y))

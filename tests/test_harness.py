@@ -40,7 +40,7 @@ from spikesim.harness.report import (
     UniversalityReport,
     summarize_trials,
 )
-from spikesim.harness.universality import _draw_pairs, _signal_vector
+from spikesim.harness.universality import _draw_pairs, _signal_vector, check_moment_match
 from spikesim.rng import stream
 
 Z2 = parse_group("Z/2")
@@ -355,6 +355,37 @@ def test_report_bytes_pinned(tmp_path, name):
     assert digests == PINNED_REPORTS[name]
 
 
+# Report digests of two small universality runs, one real (GOE against
+# Rademacher Wigner) and one complex (GUE against complex Gaussian Wigner).
+# Same LAPACK caveat as the sweep digests above.
+PINNED_UNIVERSALITY_TEXT = {
+    "goe-rademacher": "ensemble_a = goe\nensemble_b = wigner:rademacher\nmaster_seed = 5\n",
+    "gue-gaussian-c": "ensemble_a = gue\nensemble_b = wigner:gaussian:c\nmaster_seed = 6\n",
+}
+PINNED_UNIVERSALITY = {
+    "goe-rademacher": {
+        "csv": "8c8d45901a5719b53fae32d0e43f0ad3a4df9c4b80376030ebca2108c0eb0354",
+        "json": "f027a259e05ff027d05de4505d6fa93f2a53a1e785dfd692f50a0ee3e3a05087",
+    },
+    "gue-gaussian-c": {
+        "csv": "345e2ea770ac97cd993e9123b726fa9745e1b521c8dab09ae26e5b49cba9bcb5",
+        "json": "3031b999eeb029a9de173d32d4472bd086928bfb3bff3c78e183ec86c46cbe55",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_UNIVERSALITY))
+def test_universality_bytes_pinned(tmp_path, name):
+    text = (PINNED_UNIVERSALITY_TEXT[name]
+            + "n = 80\ntheta = 2.0\nphi = tanh\nn_pairs = 8\ntrials = 10\n")
+    cfg_path = write_config(tmp_path, text, name="univ.cfg")
+    out_dir = tmp_path / "out"
+    assert main(["universality", cfg_path, "--out-dir", str(out_dir)]) == 0
+    digests = {ext: hashlib.sha256((out_dir / f"universality.{ext}").read_bytes()).hexdigest()
+               for ext in ("csv", "json")}
+    assert digests == PINNED_UNIVERSALITY[name]
+
+
 # -------------------------------------------------------------- universality
 
 def small_ab_kwargs(n=60, trials=3, seed=0):
@@ -393,6 +424,13 @@ def test_universality_moment_gate():
                          variance_profile=prof)
     with pytest.raises(ValidationError, match="not matched"):
         run_universality_ab(**{**kw, "spec_b": lumpy})
+    # the diagonal is exempt: a profile that differs from GOE's only there
+    # (by less than the row-sum tolerance) is matched
+    diag_only = np.full((n, n), 1.0 / n)
+    diag_only[0, 0] += 5e-9
+    check_moment_match(kw["spec_a"], EnsembleSpec(kind="generalized-wigner", n=n,
+                                                  entry_law="gaussian",
+                                                  variance_profile=diag_only))
     # GUE vs complex flat wigner agree off the diagonal
     ckw = small_ab_kwargs()
     ckw["spec_a"] = EnsembleSpec(kind="gue", n=60, field="C")
@@ -606,3 +644,14 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
     assert main(["sweep", str(tmp_path / "missing.cfg")]) == 2
     assert main(["plot", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_refuses_workers_below_one(tmp_path, capsys, workers):
+    sweep_cfg = write_config(tmp_path, SWEEP_TEXT)
+    univ_cfg = write_config(tmp_path, UNIV_TEXT, name="univ.cfg")
+    for command, cfg in (("sweep", sweep_cfg), ("universality", univ_cfg)):
+        out_dir = tmp_path / command
+        assert main([command, cfg, "--out-dir", str(out_dir), "--workers", workers]) == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out_dir.exists()
