@@ -95,6 +95,8 @@ class SweepConfig:
         if self.mc_samples < 1000:
             raise ValidationError("mc_samples must be >= 1000")
         grid = tuple(float(t) for t in self.theta_grid)
+        if not grid:
+            raise ValidationError("theta_grid must hold at least one theta value")
         object.__setattr__(self, "theta_grid", grid)
         for theta in grid:
             if not np.isfinite(theta) or theta <= 1.0:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import __version__
+from ..errors import ValidationError
 from .config import SweepConfig
 
 CSV_COLUMNS = ("group", "n", "noise_model", "theta", "trial", "seed",
@@ -110,21 +111,26 @@ def write_sweep_json(report: SweepReport, path: str, include_timing: bool = Fals
 
 
 def load_sweep_report(path: str) -> SweepReport:
+    """Read a sweep ``report.json``; a file missing a report key is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    config = SweepConfig.from_echo(data["config"])
-    records = tuple(
-        TrialRecord(theta_index=int(r["theta_index"]), theta=float(r["theta"]),
-                    trial=int(r["trial"]), seed=str(r["seed"]),
-                    empirical_loss=float(r["empirical_loss"]))
-        for r in data["records"])
-    summaries = tuple(
-        ThetaSummary(theta=float(s["theta"]), empirical_mean=float(s["empirical_mean"]),
-                     empirical_std=float(s["empirical_std"]),
-                     prediction_mean=float(s["prediction_mean"]),
-                     prediction_stderr=float(s["prediction_stderr"]),
-                     mc_samples=int(s["mc_samples"]))
-        for s in data["summaries"])
+    try:
+        config = SweepConfig.from_echo(data["config"])
+        records = tuple(
+            TrialRecord(theta_index=int(r["theta_index"]), theta=float(r["theta"]),
+                        trial=int(r["trial"]), seed=str(r["seed"]),
+                        empirical_loss=float(r["empirical_loss"]))
+            for r in data["records"])
+        summaries = tuple(
+            ThetaSummary(theta=float(s["theta"]), empirical_mean=float(s["empirical_mean"]),
+                         empirical_std=float(s["empirical_std"]),
+                         prediction_mean=float(s["prediction_mean"]),
+                         prediction_stderr=float(s["prediction_stderr"]),
+                         mc_samples=int(s["mc_samples"]))
+            for s in data["summaries"])
+    except KeyError as exc:
+        raise ValidationError(
+            f"{path}: not a sweep report, missing key {exc.args[0]!r}") from None
     meta = data.get("meta", {})
     return SweepReport(config=config, records=records, summaries=summaries,
                        version=str(meta.get("version", __version__)),

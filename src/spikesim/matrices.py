@@ -52,13 +52,3 @@ class HermitianMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def from_nearly_hermitian(cls, a: np.ndarray) -> "HermitianMatrix":
-        """Symmetrize and wrap; for inputs Hermitian only up to rounding."""
-        return cls(symmetrize(a))
-
-    def operator_norm(self) -> float:
-        """Spectral norm via the full symmetric eigenvalue solver."""
-        vals = np.linalg.eigvalsh(self.entries)
-        return float(max(abs(vals[0]), abs(vals[-1])))

@@ -17,12 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BracketError, SingularShiftError, ValidationError
+from .errors import BracketError, SingularShiftError
 from .limits import semicircle_cauchy_transform
 from .matrices import HermitianMatrix
 
 SOLVE_RTOL = 1e-10
+UNIT_TOL = 1e-8
 LOCAL_LAW_EDGE_MARGIN = 0.1
+# Lower end of the secular bracket above lambda_max(W).  This fixed margin is
+# also the outlier decision: a root closer to the edge is reported as "no
+# outlier".  ROADMAP item 5 plans to replace it with a decision in units of
+# n^{-2/3}.
+SECULAR_MARGIN = 0.05
+SECULAR_STEP_RTOL = 4e-16
+SECULAR_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -95,20 +103,6 @@ def _entries(w) -> np.ndarray:
     return w.entries if isinstance(w, HermitianMatrix) else np.asarray(w)
 
 
-def _shifted_solver(w: np.ndarray, z: complex):
-    """LU-factor (zI - W) once; returns (solve, matvec) closures."""
-    if np.iscomplexobj(w) or complex(z).imag != 0.0:
-        a = np.asarray(z * np.eye(w.shape[0], dtype=np.complex128) - w)
-    else:
-        a = float(np.real(z)) * np.eye(w.shape[0]) - np.real(w)
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-
-    def solve(b):
-        return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-    return solve, a.dot
-
-
 def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     """Solve (zI - W) x = b by direct factorization, verifying the residual.
 
@@ -117,100 +111,94 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     """
     wm = _entries(w)
     b = np.asarray(b)
-    if b.shape[0] != wm.shape[0]:
-        raise ValueError(f"rhs length {b.shape[0]} does not match dimension {wm.shape[0]}")
+    n = wm.shape[0]
+    if b.shape[0] != n:
+        raise ValueError(f"rhs length {b.shape[0]} does not match dimension {n}")
+    complex_shift = np.iscomplexobj(wm) or complex(z).imag != 0.0
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
-        return np.zeros_like(b, dtype=np.complex128 if np.iscomplexobj(wm) or
-                             complex(z).imag != 0 else np.float64)
-    solve, matvec = _shifted_solver(wm, z)
-    x = solve(b)
-    rel = np.linalg.norm(matvec(x) - b) / norm_b
+        return np.zeros_like(b, dtype=np.complex128 if complex_shift else np.float64)
+    if complex_shift:
+        a = np.asarray(z * np.eye(n, dtype=np.complex128) - wm)
+    else:
+        a = float(np.real(z)) * np.eye(n) - np.real(wm)
+    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), b,
+                              check_finite=False)
+    rel = np.linalg.norm(a.dot(x) - b) / norm_b
     if not np.isfinite(rel) or rel > SOLVE_RTOL:
         raise SingularShiftError(
             f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
     return x
 
 
-def _check_unit(v: np.ndarray, name: str, tol: float = 1e-8) -> np.ndarray:
+def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a vector")
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
         raise ValueError(f"{name} must be a unit vector")
     return v
 
 
-def secular_root(w, v: np.ndarray, theta: float, bracket=None,
-                 margin: float = 0.05, bisect_tol: float = 1e-12) -> float:
+def secular_root(w, v: np.ndarray, theta: float) -> float:
     """Solve v* (zI - W)^{-1} v = 1/theta for the outlier location.
 
-    f(z) = v* R(z) v - 1/theta is strictly decreasing to the right of the
-    spectrum, so the root is bracketed by a sign change: bisection narrows the
-    bracket to ``bisect_tol``, then one Newton step using
-    f'(z) = -||R(z) v||^2 (same solve) polishes the root.
+    With m(z) = v* R(z) v, the bracket is [lambda_max(W) + SECULAR_MARGIN,
+    lambda_max(W) + theta + 1]; the upper end is safe because
+    m(z) <= 1/(z - lambda_max) forces the root below lambda_max + theta.  A
+    missing sign change of m - 1/theta over the bracket raises BracketError,
+    which is the subcritical "no outlier" signal.
 
-    When ``bracket`` is omitted it defaults to
-    [lambda_max(W) + margin, lambda_max(W) + theta + 1]; the upper end is safe
-    because v* R(z) v <= 1/(z - lambda_max) forces the root below
-    lambda_max + theta.  A missing sign change raises BracketError, which is
-    the subcritical "no outlier" signal.
+    The root is then found by Newton's method on 1/m(z) - theta from the
+    lower end (Bunch, Nielsen & Sorensen 1978).  To the right of the spectrum
+    1/m is increasing and concave, so the iterates rise to the root without
+    passing it.  Each step costs one solve x = R(z) v, since
+    m'(z) = -||x||^2.  The loop stops at the first step below
+    SECULAR_STEP_RTOL * |z|, a negative step from rounding at the root
+    included, and raises RuntimeError after SECULAR_MAX_STEPS steps.
     """
     wm = _entries(w)
     v = _check_unit(v, "v")
     theta = float(theta)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if bracket is None:
-        n = wm.shape[0]
-        lam_top = float(scipy.linalg.eigvalsh(wm, subset_by_index=[n - 1, n - 1],
-                                              driver="evr")[0])
-        lo, hi = lam_top + margin, lam_top + theta + 1.0
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not lo < hi:
-            raise ValueError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
+    n = wm.shape[0]
+    lam_top = float(scipy.linalg.eigvalsh(wm, subset_by_index=[n - 1, n - 1],
+                                          driver="evr")[0])
+    lo, hi = lam_top + SECULAR_MARGIN, lam_top + theta + 1.0
 
-    def f_and_slope(z: float):
+    def solve(z: float):
         x = resolvent_solve(wm, z, v)
-        fz = float(np.real(np.vdot(v, x))) - 1.0 / theta
-        return fz, -float(np.real(np.vdot(x, x)))
+        return x, float(np.real(np.vdot(v, x)))
 
-    flo, _ = f_and_slope(lo)
-    fhi, _ = f_and_slope(hi)
+    x, m = solve(lo)
+    flo = m - 1.0 / theta
+    fhi = solve(hi)[1] - 1.0 / theta
     if not (flo > 0.0 > fhi):
         raise BracketError(
             f"no outlier: f has no sign change over [{lo:.6g}, {hi:.6g}] "
             f"(f(lo) = {flo:.3e}, f(hi) = {fhi:.3e})")
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float exhaustion
-            break
-        fm, _ = f_and_slope(mid)
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    fz, slope = f_and_slope(z)
-    if slope < 0.0:
-        z = z - fz / slope
-    return float(z)
+    z = lo
+    for _ in range(SECULAR_MAX_STEPS):
+        step = m * (theta * m - 1.0) / float(np.real(np.vdot(x, x)))
+        if step <= SECULAR_STEP_RTOL * abs(z):
+            return z
+        z += step
+        x, m = solve(z)
+    raise RuntimeError(f"secular_root: no convergence in {SECULAR_MAX_STEPS} Newton steps "
+                       f"(z = {z!r}, last step {step:.3e})")
 
 
-def eigvec_via_resolvent(w, eigval: float, v: np.ndarray,
-                         imag_offset: float = 0.0) -> np.ndarray:
+def eigvec_via_resolvent(w, eigval: float, v: np.ndarray) -> np.ndarray:
     """Top eigenvector of theta*vv* + W from the noise resolvent alone.
 
     The rank-one identity makes R_W(lambda) v proportional to the spike
     eigenvector; the output is normalized and phase-fixed like
-    ``top_eigenpair``.  ``imag_offset`` evaluates the resolvent at
-    eigval + i*offset for diagnostics; the default 0 relies on the residual
-    check to reject shifts inside the spectrum.
+    ``top_eigenpair``.  The residual check of ``resolvent_solve`` rejects
+    shifts inside the spectrum.
     """
     v = _check_unit(v, "v")
-    z = complex(eigval, imag_offset) if imag_offset else float(eigval)
-    x = resolvent_solve(w, z, v)
+    x = resolvent_solve(w, float(eigval), v)
     return fix_phase(x / np.linalg.norm(x))
 
 

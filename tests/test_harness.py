@@ -109,6 +109,8 @@ def test_parse_sweep_config_circle_defaults(tmp_path):
     (lambda t: t.replace("n = 60", "n = sixty"), "expected an integer"),
     (lambda t: t.replace("n = 60", "just some words"), "expected 'key = value'"),
     (lambda t: t.replace("1.5, 2.5", "0.8, 2.5"), "exceed 1"),
+    pytest.param(lambda t: t.replace("theta_grid = 1.5, 2.5", "theta_grid ="),
+                 "theta_grid must hold at least one", id="empty-theta-grid"),
     # each group fixes its own rounding rule and sweep loss
     pytest.param(lambda t: t + "round = nearest-character\n", "unknown config keys",
                  id="round-key-removed"),
@@ -644,6 +646,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
     assert main(["sweep", str(tmp_path / "missing.cfg")]) == 2
     assert main(["plot", str(tmp_path / "missing.json")]) == 2
+    # an empty theta grid is refused before anything is written
+    empty_grid = write_config(tmp_path, SWEEP_TEXT.replace("theta_grid = 1.5, 2.5",
+                                                           "theta_grid ="), name="empty.cfg")
+    out_dir = tmp_path / "empty-grid"
+    assert main(["sweep", empty_grid, "--out-dir", str(out_dir)]) == 2
+    assert "theta_grid" in capsys.readouterr().err
+    assert not out_dir.exists()
+    # a JSON file that is not a sweep report is a usage error naming the key
+    not_report = tmp_path / "not-a-report.json"
+    not_report.write_text('{"config": {}}')
+    assert main(["plot", str(not_report)]) == 2
+    assert "missing key 'group'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -7,7 +7,7 @@ eigensolver to near machine precision on random instances.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import spikesim.spectral
@@ -73,7 +73,7 @@ def test_top_eigenpair_dominates_diagonal(seed):
     assert est.gap >= 0.0
 
 
-def _spiked_instance(n, field, seed, theta=2.0):
+def _noise_and_signal(n, field, seed):
     if field == "R":
         v = stream(seed, "signal").standard_normal(n)
         w = sample_goe(n, stream(seed, "noise"))
@@ -81,7 +81,12 @@ def _spiked_instance(n, field, seed, theta=2.0):
         g = stream(seed, "signal")
         v = g.standard_normal(n) + 1j * g.standard_normal(n)
         w = sample_gue(n, stream(seed, "noise"))
-    return build_spiked(SpikeConfig(theta=theta, v=v / np.linalg.norm(v)), w)
+    return w, v / np.linalg.norm(v)
+
+
+def _spiked_instance(n, field, seed, theta=2.0):
+    w, v = _noise_and_signal(n, field, seed)
+    return build_spiked(SpikeConfig(theta=theta, v=v), w)
 
 
 def _assert_matches_full_eigh(h):
@@ -237,19 +242,94 @@ def test_secular_root_subcritical_raises():
         secular_root(w.entries, v, 0.5)
 
 
-def test_secular_root_explicit_bracket():
+def _bisect_secular_root(w, v, theta):
+    """Slow reference: bisection to 1e-12 on the default bracket, then one Newton polish."""
+    wm = np.asarray(w)
+    lam_top = float(np.linalg.eigvalsh(wm)[-1])
+    lo, hi = lam_top + 0.05, lam_top + theta + 1.0
+
+    def f_and_slope(z):
+        x = resolvent_solve(wm, z, v)
+        return float(np.real(np.vdot(v, x))) - 1.0 / theta, -float(np.real(np.vdot(x, x)))
+
+    if not f_and_slope(lo)[0] > 0.0 > f_and_slope(hi)[0]:
+        return None
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if f_and_slope(mid)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    z = 0.5 * (lo + hi)
+    fz, slope = f_and_slope(z)
+    return z - fz / slope
+
+
+@pytest.fixture
+def solve_shifts(monkeypatch):
+    """Record the shift of every resolvent solve made through the module."""
+    shifts = []
+    solve = spikesim.spectral.resolvent_solve
+
+    def recording_solve(wm, z, b):
+        shifts.append(z)
+        return solve(wm, z, b)
+
+    monkeypatch.setattr(spikesim.spectral, "resolvent_solve", recording_solve)
+    return shifts
+
+
+def _assert_newton_root(w, v, theta, shifts):
+    """Newton root against the slow reference and full eigvalsh of the spiked matrix."""
+    ref = _bisect_secular_root(w.entries, v, theta)
+    shifts.clear()
+    if ref is None:
+        with pytest.raises(BracketError):
+            secular_root(w, v, theta)
+        assert len(shifts) == 2
+        return None
+    root = secular_root(w, v, theta)
+    lam = float(np.linalg.eigvalsh(build_spiked(SpikeConfig(theta=theta, v=v), w).entries)[-1])
+    tol = 1e-12 * max(1.0, abs(lam))
+    assert abs(root - ref) <= tol
+    assert abs(root - lam) <= tol
+    # after the bracket ends, the iterates rise strictly from the lower end
+    # and never pass the root
+    rising = [shifts[0]] + shifts[2:]
+    assert np.all(np.diff(rising) > 0.0)
+    assert rising[-1] <= root + tol
+    assert len(shifts) <= 12
+    return root
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 40, 200])
+@pytest.mark.parametrize("field", ["R", "C"])
+def test_secular_root_newton_matches_reference(n, field, solve_shifts):
+    found = 0
+    for seed in range(2):
+        w, v = _noise_and_signal(n, field, seed)
+        for theta in (0.5, 1.2, 2.0, 10.0):
+            found += _assert_newton_root(w, v, theta, solve_shifts) is not None
+    assert found >= 4  # theta >= 2 clears the bracket margin at these sizes
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(min_value=2, max_value=9), st.sampled_from(["R", "C"]),
+       st.floats(min_value=0.1, max_value=50.0), st.integers(min_value=0, max_value=10 ** 9))
+def test_secular_root_newton_matches_reference_random(solve_shifts, n, field, theta, seed):
+    w, v = _noise_and_signal(n, field, seed)
+    _assert_newton_root(w, v, theta, solve_shifts)
+
+
+def test_secular_root_step_cap_raises(monkeypatch):
     n = 40
-    v = unit(np.ones(n))
-    w = sample_goe(n, 10)
-    lam_top = float(np.linalg.eigvalsh(w.entries)[-1])
-    auto = secular_root(w.entries, v, 3.0)
-    manual = secular_root(w.entries, v, 3.0, bracket=(lam_top + 0.01, lam_top + 5.0))
-    assert abs(auto - manual) < 1e-9
-    with pytest.raises(ValueError):
-        secular_root(w.entries, v, 3.0, bracket=(4.0, 4.0))
-    with pytest.raises(BracketError):
-        # bracket strictly above the root: no sign change
-        secular_root(w.entries, v, 3.0, bracket=(auto + 1.0, auto + 2.0))
+    w, v = _noise_and_signal(n, "R", 10)
+    monkeypatch.setattr(spikesim.spectral, "SECULAR_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="no convergence"):
+        secular_root(w, v, 3.0)
 
 
 @pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
@@ -295,18 +375,6 @@ def test_eigvec_via_resolvent_matches_eigensolver():
         assert overlap_sq(u, est.eigenvector) > 1.0 - 1e-10
         # both are phase-fixed, so they agree entrywise
         assert np.allclose(u, est.eigenvector, atol=1e-6)
-
-
-def test_eigvec_via_resolvent_imag_offset():
-    n = 60
-    theta = 2.0
-    v = unit(np.ones(n))
-    w = sample_goe(n, 13)
-    h = build_spiked(SpikeConfig(theta=theta, v=v), w)
-    est = top_eigenpair(h)
-    u = eigvec_via_resolvent(w.entries, est.eigenvalue, v, imag_offset=1e-6)
-    assert np.iscomplexobj(u)
-    assert overlap_sq(u, est.eigenvector) > 1.0 - 1e-8
 
 
 # -------------------------------------------------- stability and invariance
