@@ -111,7 +111,7 @@ def write_sweep_json(report: SweepReport, path: str, include_timing: bool = Fals
 
 
 def load_sweep_report(path: str) -> SweepReport:
-    """Read a sweep ``report.json``; a file missing a report key is a ValidationError."""
+    """Read a sweep ``report.json``; JSON not shaped like a report is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
@@ -128,13 +128,16 @@ def load_sweep_report(path: str) -> SweepReport:
                          prediction_stderr=float(s["prediction_stderr"]),
                          mc_samples=int(s["mc_samples"]))
             for s in data["summaries"])
+        meta = data.get("meta", {})
+        version = str(meta.get("version", __version__))
+        wall_time_s = meta.get("wall_time_s")
     except KeyError as exc:
         raise ValidationError(
             f"{path}: not a sweep report, missing key {exc.args[0]!r}") from None
-    meta = data.get("meta", {})
+    except (TypeError, AttributeError) as exc:
+        raise ValidationError(f"{path}: not a sweep report ({exc})") from None
     return SweepReport(config=config, records=records, summaries=summaries,
-                       version=str(meta.get("version", __version__)),
-                       wall_time_s=meta.get("wall_time_s"))
+                       version=version, wall_time_s=wall_time_s)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ the outlier eigenvalue solves the secular equation
 v* (zI - W)^{-1} v = 1/theta, and the top eigenvector is proportional to
 (lambda I - W)^{-1} v.  Both are implemented against linear solves so they can
 cross-check the eigensolver, plus an isotropic local-law residual diagnostic.
+
+Dense linear algebra runs on scipy's BLAS only.  numpy and scipy may each
+bundle their own BLAS, each with its own thread pool; a numpy matrix product
+between two scipy factorizations wakes the second pool, which then competes
+with the first for the cores.  This is the one module that calls BLAS on
+matrices, so the rule lives here.
 """
 
 from __future__ import annotations
@@ -107,24 +113,37 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     """Solve (zI - W) x = b by direct factorization, verifying the residual.
 
     Raises SingularShiftError when the relative residual exceeds 1e-10, which
-    is how shifts too close to spec(W) are detected.
+    is how shifts too close to spec(W) are detected, and ValueError for a
+    non-finite shift.  A zero b returns zeros of the dtype a nonzero b of the
+    same dtype would give.
     """
     wm = _entries(w)
     b = np.asarray(b)
     n = wm.shape[0]
     if b.shape[0] != n:
         raise ValueError(f"rhs length {b.shape[0]} does not match dimension {n}")
+    if not np.isfinite(complex(z)):
+        raise ValueError(f"shift z = {z} must be finite")
     complex_shift = np.iscomplexobj(wm) or complex(z).imag != 0.0
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
-        return np.zeros_like(b, dtype=np.complex128 if complex_shift else np.float64)
+        a_dtype = np.complex128 if complex_shift else np.float64
+        return np.zeros(b.shape, dtype=np.result_type(a_dtype, b.dtype))
     if complex_shift:
         a = np.asarray(z * np.eye(n, dtype=np.complex128) - wm)
     else:
         a = float(np.real(z)) * np.eye(n) - np.real(wm)
     x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), b,
                               check_finite=False)
-    rel = np.linalg.norm(a.dot(x) - b) / norm_b
+    # a x - b on the BLAS that did the LU.  a is C-ordered, so BLAS gets a.T,
+    # which it reads in place, with the transpose flag set.
+    if x.ndim == 1:
+        gemv = scipy.linalg.get_blas_funcs("gemv", (a, x))
+        r = gemv(1.0, a.T, x, beta=-1.0, y=b, trans=1)
+    else:
+        gemm = scipy.linalg.get_blas_funcs("gemm", (a, x))
+        r = gemm(1.0, a.T, x, beta=-1.0, c=b, trans_a=1)
+    rel = np.linalg.norm(r) / norm_b
     if not np.isfinite(rel) or rel > SOLVE_RTOL:
         raise SingularShiftError(
             f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
@@ -160,8 +179,8 @@ def secular_root(w, v: np.ndarray, theta: float) -> float:
     wm = _entries(w)
     v = _check_unit(v, "v")
     theta = float(theta)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < np.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     n = wm.shape[0]
     lam_top = float(scipy.linalg.eigvalsh(wm, subset_by_index=[n - 1, n - 1],
                                           driver="evr")[0])

@@ -658,6 +658,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     not_report.write_text('{"config": {}}')
     assert main(["plot", str(not_report)]) == 2
     assert "missing key 'group'" in capsys.readouterr().err
+    # so is JSON whose top level, a record or the meta entry is not an object
+    echo = tiny_sweep_config().echo()
+    for payload in ([], {"config": echo, "records": [1]},
+                    {"config": echo, "records": [], "summaries": [], "meta": []}):
+        not_report.write_text(json.dumps(payload))
+        assert main(["plot", str(not_report)]) == 2
+        assert "not a sweep report" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -5,8 +5,11 @@ zero noise), and the secular/resolvent routes must agree with the dense
 eigensolver to near machine precision on random instances.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -192,11 +195,67 @@ def test_resolvent_zero_rhs_and_shape_check():
         resolvent_solve(w, 3.0, np.ones(9))
 
 
+@pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
+@pytest.mark.parametrize("z", [3.0, 3.0 + 0.5j])
+@pytest.mark.parametrize("b_dtype", [np.float64, np.complex128, np.float32, np.complex64,
+                                     np.int64])
+def test_resolvent_zero_rhs_dtype_matches_nonzero(sampler, z, b_dtype):
+    w = sampler(8, 0).entries
+    zero = resolvent_solve(w, z, np.zeros(8, dtype=b_dtype))
+    assert np.all(zero == 0.0)
+    assert zero.dtype == resolvent_solve(w, z, np.ones(8, dtype=b_dtype)).dtype
+
+
+def _direct_lu_solve(w, z, b):
+    """Reference: LU of zI - W built in the dtype the shift needs, no residual check."""
+    n = w.shape[0]
+    if np.iscomplexobj(w) or complex(z).imag != 0.0:
+        a = z * np.eye(n, dtype=np.complex128) - w
+    else:
+        a = float(z) * np.eye(n) - w
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("z", [2.7, 2.7 + 0.4j])
+@pytest.mark.parametrize("rhs", ["real-vector", "complex-vector", "real-matrix",
+                                 "complex-matrix"])
+def test_resolvent_solve_matches_direct_lu_bits(field, z, rhs):
+    n = 60
+    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
+    rng = stream(21, "rhs")
+    shape = (n, 3) if rhs.endswith("matrix") else (n,)
+    b = rng.standard_normal(shape)
+    if rhs.startswith("complex"):
+        b = b + 1j * rng.standard_normal(shape)
+    b_before = b.copy()
+    x = resolvent_solve(w, z, b)
+    ref = _direct_lu_solve(w, z, b)
+    assert x.dtype == ref.dtype and x.shape == ref.shape
+    assert np.array_equal(x, ref)
+    assert np.array_equal(b, b_before)
+
+
 def test_resolvent_rejects_shift_in_spectrum():
-    w = sample_goe(50, 2)
-    lam_top = float(np.linalg.eigvalsh(w.entries)[-1])
-    with pytest.raises(SingularShiftError):
-        resolvent_solve(w, lam_top, unit(np.ones(50)))
+    n = 50
+    for sampler in (sample_goe, sample_gue):
+        w = sampler(n, 2)
+        lam_top = float(np.linalg.eigvalsh(w.entries)[-1])
+        for b in (unit(np.ones(n)), stream(2, "rhs").standard_normal((n, 3))):
+            with pytest.raises(SingularShiftError, match="too close to the spectrum"):
+                resolvent_solve(w, lam_top, b)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(3.0, np.nan),
+                               complex(np.inf, 1.0)])
+def test_resolvent_refuses_non_finite_shift(z):
+    w = sample_goe(8, 0).entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            resolvent_solve(w, z, np.ones(8))
+        with pytest.raises(ValueError, match="must be finite"):
+            resolvent_solve(w, z, np.zeros(8))
 
 
 def test_first_resolvent_identity():
@@ -356,6 +415,9 @@ def test_secular_root_argument_validation():
     v = unit(np.ones(6))
     with pytest.raises(ValueError):
         secular_root(np.zeros((6, 6)), v, 0.0)
+    for theta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            secular_root(np.zeros((6, 6)), v, theta)
     with pytest.raises(ValueError):
         secular_root(np.zeros((6, 6)), np.ones(6), 1.5)  # not unit
 
