@@ -4,10 +4,10 @@ limit predictions for group synchronization in the weak-recovery regime."""
 __version__ = "0.1.0"
 
 from .errors import BracketError, SingularShiftError, SpikesimError, ValidationError
-from .groups import (CircleGroup, CyclicGroup, TableLoss, average_loss, canonicalize,
-                     character, character_table, compose, difference,
-                     estimate_group_matrix, haar_sample, identity_element, inverse,
-                     loss_values, pairwise_matrix, parse_group, round_to_group)
+from .groups import (CircleGroup, CyclicGroup, average_loss, canonicalize, character,
+                     character_table, compose, difference, estimate_group_matrix,
+                     haar_sample, identity_element, inverse, loss_values,
+                     pairwise_matrix, parse_group, round_to_group)
 from .limits import (outlier_eigenvalue, overlap_limit, residual_variance_limit,
                      semicircle_cauchy_transform, semicircle_cauchy_transform_deriv,
                      semicircle_density)
@@ -29,7 +29,7 @@ __all__ = [
     "CyclicGroup", "CircleGroup", "parse_group", "identity_element", "canonicalize",
     "inverse", "compose", "difference", "haar_sample", "character",
     "character_table", "pairwise_matrix", "round_to_group",
-    "estimate_group_matrix", "TableLoss", "loss_values", "average_loss",
+    "estimate_group_matrix", "loss_values", "average_loss",
     "outlier_eigenvalue", "overlap_limit", "residual_variance_limit",
     "semicircle_density", "semicircle_cauchy_transform",
     "semicircle_cauchy_transform_deriv",

@@ -23,6 +23,10 @@ ENTRY_LAWS = ("gaussian", "rademacher", "uniform-centered")
 
 ROW_SUM_TOL = 1e-8
 
+# circle angles composed with their mirrored inverse must land this close to
+# the identity; inverse-of-inverse is not bit-exact in floats
+CIRCLE_HERMITIAN_TOL = 1e-9
+
 EPS_W = 0.5
 C_W = 8.0
 
@@ -62,8 +66,8 @@ class EnsembleSpec:
             if self.entry_law not in ENTRY_LAWS:
                 raise ValidationError(
                     f"entry_law must be one of {ENTRY_LAWS} for {self.kind}, got {self.entry_law!r}")
-        if self.gamma_w < 1.0:
-            raise ValidationError("gamma_w must be >= 1")
+        if not (np.isfinite(self.gamma_w) and self.gamma_w >= 1.0):
+            raise ValidationError(f"gamma_w must be finite and >= 1, got {self.gamma_w!r}")
         if self.variance_profile is None:
             return
         # a given profile is checked once, here; the read-only copy keeps later
@@ -187,7 +191,7 @@ class SpikeConfig:
         if v.ndim != 1 or v.size == 0:
             raise ValidationError("v must be a nonempty vector")
         nrm = np.linalg.norm(v)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # also refuses a NaN norm
             raise ValidationError(f"v must be unit norm within 1e-12, got ||v|| = {nrm!r}")
         object.__setattr__(self, "v", v)
 
@@ -241,12 +245,11 @@ def circle_distance(a, b) -> np.ndarray:
     return np.minimum(d, 2.0 * np.pi - d)
 
 
-def is_group_hermitian(group: Group, y: np.ndarray, tol: float = 1e-9) -> bool:
+def is_group_hermitian(group: Group, y: np.ndarray) -> bool:
     """Check Y_ji = Y_ij^{-1} with identity diagonal.
 
     Exact for cyclic residues; for the circle the composed angles must be
-    within ``tol`` of the identity (inverse-of-inverse is not bit-exact in
-    floats).
+    within ``CIRCLE_HERMITIAN_TOL`` of the identity.
     """
     y = np.asarray(y)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
@@ -254,10 +257,10 @@ def is_group_hermitian(group: Group, y: np.ndarray, tol: float = 1e-9) -> bool:
     ident = identity_element(group)
     if isinstance(group, CyclicGroup):
         return bool(np.all(np.diag(y) == ident) and np.array_equal(y, inverse(group, y.T)))
-    if not np.all(circle_distance(np.diag(y), ident) <= tol):
+    if not np.all(circle_distance(np.diag(y), ident) <= CIRCLE_HERMITIAN_TOL):
         return False
     composed = np.mod(y + y.T, 2.0 * np.pi)
-    return bool(np.all(circle_distance(composed, 0.0) <= tol))
+    return bool(np.all(circle_distance(composed, 0.0) <= CIRCLE_HERMITIAN_TOL))
 
 
 def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
@@ -365,17 +368,16 @@ def validate_wigner_moment_profile(samples, field: str) -> MomentProfileReport:
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """Analytic per-entry second moments of an ensemble.
+    """Analytic second moments of the real and imaginary parts of each entry.
 
-    A field is a float when it is the same for every entry, as for GOE, GUE
+    A moment is a float when it is the same for every entry, as for GOE, GUE
     and flat Wigner.  A given variance profile makes ``re2`` (and ``im2`` for
-    field C) n x n arrays and ``diag_var`` a length-n array.
+    field C) n x n arrays.  Every ensemble here draws the two parts
+    independently, so the cross moment is zero.
     """
 
     re2: float | np.ndarray
     im2: float | np.ndarray
-    cross: float | np.ndarray
-    diag_var: float | np.ndarray
     field: str
 
 
@@ -383,12 +385,11 @@ def moment_profile(spec: EnsembleSpec) -> MomentProfile:
     """Analytic moment profile used by the universality moment-matching gate."""
     n = spec.n
     if spec.kind == "goe":
-        return MomentProfile(1.0 / n, 0.0, 0.0, 2.0 / n, "R")
+        return MomentProfile(1.0 / n, 0.0, "R")
     if spec.kind == "gue":
-        return MomentProfile(0.5 / n, 0.5 / n, 0.0, 1.0 / n, "C")
-    prof = spec.variance_profile
-    var, diag = (1.0 / n, 1.0 / n) if prof is None else (prof, np.diag(prof))
+        return MomentProfile(0.5 / n, 0.5 / n, "C")
+    var = 1.0 / n if spec.variance_profile is None else spec.variance_profile
     if spec.field == "R":
-        return MomentProfile(var, 0.0, 0.0, diag, "R")
+        return MomentProfile(var, 0.0, "R")
     half = var / 2.0
-    return MomentProfile(half, half, 0.0, diag, "C")
+    return MomentProfile(half, half, "C")

@@ -16,8 +16,6 @@ from .errors import ValidationError
 
 TWO_PI = 2.0 * np.pi
 
-LOSS_KINDS = ("mismatch", "one-minus-cos")
-
 
 @dataclass(frozen=True)
 class CyclicGroup:
@@ -65,7 +63,7 @@ def rounding_rule(group: Group) -> str:
 
 
 def default_loss(group: Group) -> str:
-    """The loss a group is scored with unless a table loss is given."""
+    """Name of the loss the group is scored with (see ``loss_values``)."""
     return "mismatch" if isinstance(group, CyclicGroup) else "one-minus-cos"
 
 
@@ -187,45 +185,13 @@ def estimate_group_matrix(group: Group, v_hat: np.ndarray) -> np.ndarray:
     return round_to_group(group, t)
 
 
-@dataclass(frozen=True)
-class TableLoss:
-    """Arbitrary loss on a cyclic group given as an L x L table, ell(x, y) = table[x, y]."""
+def loss_values(group: Group, truth, estimate) -> np.ndarray:
+    """Elementwise loss between arrays of group elements.
 
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValidationError("loss table must be square")
-        object.__setattr__(self, "table", t)
-
-
-LossSpec = str | TableLoss
-
-
-def _check_loss(group: Group, loss: LossSpec) -> None:
-    if isinstance(loss, TableLoss):
-        if not isinstance(group, CyclicGroup):
-            raise ValidationError("table losses are defined for cyclic groups only")
-        if loss.table.shape[0] != group.order:
-            raise ValidationError(
-                f"loss table is {loss.table.shape[0]}x{loss.table.shape[0]} "
-                f"but the group has order {group.order}")
-        return
-    if loss not in LOSS_KINDS:
-        raise ValidationError(f"unknown loss {loss!r}")
-    if loss != default_loss(group):
-        raise ValidationError(f"{loss} loss is not defined for {group}")
-
-
-def loss_values(group: Group, truth, estimate, loss: LossSpec) -> np.ndarray:
-    """Elementwise loss between arrays of group elements."""
-    _check_loss(group, loss)
-    if isinstance(loss, TableLoss):
-        a = canonicalize(group, truth)
-        b = canonicalize(group, estimate)
-        return loss.table[a, b]
-    if loss == "mismatch":
+    Cyclic: mismatch, 1.0 where the canonical residues differ.  Circle:
+    1 - cos of the angle difference.
+    """
+    if isinstance(group, CyclicGroup):
         a = canonicalize(group, truth)
         b = canonicalize(group, estimate)
         return (a != b).astype(np.float64)
@@ -234,11 +200,11 @@ def loss_values(group: Group, truth, estimate, loss: LossSpec) -> np.ndarray:
     return 1.0 - np.cos(t - e)
 
 
-def average_loss(group: Group, m_true: np.ndarray, m_est: np.ndarray, loss: LossSpec) -> float:
+def average_loss(group: Group, m_true: np.ndarray, m_est: np.ndarray) -> float:
     """Mean loss over all n^2 ordered pairs (diagonal included)."""
     m_true = np.asarray(m_true)
     m_est = np.asarray(m_est)
     if m_true.shape != m_est.shape or m_true.ndim != 2 or m_true.shape[0] != m_true.shape[1]:
         raise ValidationError(
             f"alignment matrices must be square with equal shape, got {m_true.shape} vs {m_est.shape}")
-    return float(np.mean(loss_values(group, m_true, m_est, loss)))
+    return float(np.mean(loss_values(group, m_true, m_est)))

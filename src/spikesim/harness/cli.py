@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="evaluate the limit prediction once")
     predict.add_argument("--group", required=True, help="Z/L or U(1)")
     predict.add_argument("--theta", type=float, required=True)
-    predict.add_argument("--loss", default=None, help="mismatch or one-minus-cos")
     predict.add_argument("--samples", type=int, default=1_000_000)
     predict.add_argument("--seed", type=int, default=0)
 
@@ -58,9 +57,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _override(config, args):
+    """Apply the --seed and --out-dir overrides to a sweep or universality config."""
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
+    if args.out_dir is not None:
+        config = replace(config, out_dir=args.out_dir)
+    return config
+
+
 def _cmd_sweep(args) -> int:
-    config = parse_sweep_config(args.config).with_overrides(
-        out_dir=args.out_dir, master_seed=args.seed)
+    config = _override(parse_sweep_config(args.config), args)
     report = run_sweep(config, workers=args.workers)
     os.makedirs(config.out_dir, exist_ok=True)
     written = []
@@ -86,11 +93,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_universality(args) -> int:
-    config = parse_universality_config(args.config)
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    if args.out_dir is not None:
-        config = replace(config, out_dir=args.out_dir)
+    config = _override(parse_universality_config(args.config), args)
     report = run_universality_config(config, workers=args.workers)
     os.makedirs(config.out_dir, exist_ok=True)
     written = []
@@ -111,12 +114,12 @@ def _cmd_universality(args) -> int:
 
 def _cmd_predict(args) -> int:
     group = parse_group(args.group)
-    estimate = predict_sync_loss(group, args.theta, loss=args.loss,
-                                 n_samples=args.samples, seed=args.seed)
+    estimate = predict_sync_loss(group, args.theta, n_samples=args.samples,
+                                 seed=args.seed)
     print(f"{estimate.label} theta={args.theta:g}")
     print(f"mean={estimate.mean!r} stderr={estimate.stderr!r} "
           f"n_samples={estimate.n_samples}")
-    if real_field(group) and (args.loss is None or args.loss == "mismatch"):
+    if real_field(group):
         print(f"closed_form={z2_mismatch_exact(args.theta)!r}")
     return 0
 

@@ -7,7 +7,7 @@ duplicate keys are errors so typos cannot silently change an experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,15 +111,6 @@ class SweepConfig:
         if self.loss != default_loss(self.group):
             raise ValidationError(f"group {self.group} uses loss {default_loss(self.group)!r} "
                                   f"in sweeps, got {self.loss!r}")
-
-    def with_overrides(self, out_dir: str | None = None,
-                       master_seed: int | None = None) -> "SweepConfig":
-        cfg = self
-        if out_dir is not None:
-            cfg = replace(cfg, out_dir=out_dir)
-        if master_seed is not None:
-            cfg = replace(cfg, master_seed=master_seed)
-        return cfg
 
     def echo(self) -> dict:
         """Config as plain data for report embedding.

@@ -103,17 +103,30 @@ def _sweep_payload(report: SweepReport, include_timing: bool) -> dict:
     }
 
 
-def write_sweep_json(report: SweepReport, path: str, include_timing: bool = False) -> None:
-    payload = _sweep_payload(report, include_timing)
+def _write_json(payload: dict, path: str) -> None:
+    """Write sorted, indented JSON; a non-finite float raises ValueError before
+    the file is opened, as in the CSV writers."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def write_sweep_json(report: SweepReport, path: str, include_timing: bool = False) -> None:
+    _write_json(_sweep_payload(report, include_timing), path)
 
 
 def load_sweep_report(path: str) -> SweepReport:
-    """Read a sweep ``report.json``; JSON not shaped like a report is a ValidationError."""
+    """Read a sweep ``report.json``; JSON not shaped like a report, or holding a
+    non-finite number, is a ValidationError."""
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}: not a sweep report, non-finite number {text}")
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_float=finite, parse_constant=finite)
     try:
         config = SweepConfig.from_echo(data["config"])
         records = tuple(
@@ -207,6 +220,4 @@ def write_universality_json(report: UniversalityReport, path: str,
         ],
         "meta": meta,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(payload, path)

@@ -43,7 +43,7 @@ def _run_trial(config: SweepConfig, theta_index: int, theta: float, trial: int) 
     estimate = top_eigenpair(h)
     m_hat = estimate_group_matrix(group, estimate.eigenvector)
     m_true = pairwise_matrix(group, x)
-    loss = average_loss(group, m_true, m_hat, config.loss)
+    loss = average_loss(group, m_true, m_hat)
     return TrialRecord(theta_index=theta_index, theta=float(theta), trial=trial,
                        seed=str(trial_key), empirical_loss=loss)
 
@@ -69,7 +69,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     summaries = []
     for ti, theta in enumerate(config.theta_grid):
         prediction = predict_sync_loss(
-            config.group, theta, loss=config.loss, n_samples=config.mc_samples,
+            config.group, theta, n_samples=config.mc_samples,
             seed=derive_key(config.master_seed, "prediction", ti))
         losses = [r.empirical_loss for r in records if r.theta_index == ti]
         summaries.append(summarize_trials(theta, losses, prediction))

@@ -38,8 +38,7 @@ def check_moment_match(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> None:
     if pa.field != pb.field:
         raise ValidationError("ensembles must share the same field "
                               f"(got {pa.field} vs {pb.field})")
-    for name, a, b in (("re", pa.re2, pb.re2), ("im", pa.im2, pb.im2),
-                       ("cross", pa.cross, pb.cross)):
+    for name, a, b in (("re", pa.re2, pb.re2), ("im", pa.im2, pb.im2)):
         diff = np.abs(a - b)
         if np.ndim(diff):  # a given profile: its diagonal is exempt too
             np.fill_diagonal(diff, 0.0)

@@ -12,8 +12,8 @@ Z/2 with mismatch loss the expectation reduces in closed form to 2q(1-q) with
 q = Phi(-sqrt(theta^2 - 1)).
 
 Sampling is chunked with an independent named stream per chunk and a fixed
-reduction order, so estimates are reproducible for a given (seed, chunk_size)
-no matter how chunks are scheduled.
+reduction order, so estimates are reproducible for a given seed no matter how
+chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -24,15 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .groups import (Group, LossSpec, character, default_loss, difference,
-                     haar_sample, loss_values, real_field, round_to_group,
-                     rounding_rule)
+from .groups import (Group, character, default_loss, difference, haar_sample,
+                     loss_values, real_field, round_to_group, rounding_rule)
 from .limits import overlap_limit, residual_variance_limit
 from .rng import stream
 
 MIN_SAMPLES = 1000
 DEFAULT_SAMPLES = 10 ** 6
-DEFAULT_CHUNK = 1 << 20
+# Samples per chunk.  Chunk k draws from the stream named (seed, "chunk", k),
+# so the chunk size names the Monte Carlo streams: changing it moves every bit
+# of any estimate that crosses a chunk boundary under the old or the new size.
+CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,14 @@ def _gaussians(rng: np.random.Generator, m: int, field: str) -> np.ndarray:
     return (rng.standard_normal(m) + 1.0j * rng.standard_normal(m)) / np.sqrt(2.0)
 
 
-def _chunked_mc(sample_fn, n_samples: int, seed: int, chunk_size: int):
+def _chunked_mc(sample_fn, n_samples: int, seed: int):
     """Accumulate chunk sums in chunk order; returns (mean, stderr)."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     total = 0.0
     total_sq = 0.0
     done = 0
     index = 0
     while done < n_samples:
-        m = min(chunk_size, n_samples - done)
+        m = min(CHUNK, n_samples - done)
         vals = sample_fn(stream(seed, "chunk", index), m)
         total += float(vals.sum())
         total_sq += float(np.square(vals).sum())
@@ -86,22 +86,20 @@ def _chunked_mc(sample_fn, n_samples: int, seed: int, chunk_size: int):
     return mean, math.sqrt(var / n_samples)
 
 
-def predict_sync_loss(group: Group, theta: float, loss: LossSpec = None,
-                      n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                      chunk_size: int = DEFAULT_CHUNK) -> PredictionEstimate:
+def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPLES,
+                      seed: int = 0) -> PredictionEstimate:
     """Monte Carlo value of the limiting average loss for a synchronization run.
 
     Samples x, y Haar on the group and g, h standard F-Gaussians (F = R iff
     the group is Z/2), rounds the modeled estimator entry back to the group,
-    and averages loss(x * y^{-1}, rounded value).
+    and averages the group's loss (see ``loss_values``) between x * y^{-1}
+    and the rounded value.
     """
     theta = _check_supercritical(theta)
     if n_samples < MIN_SAMPLES:
         raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("seed must be an int (named chunk streams are derived from it)")
-    if loss is None:
-        loss = default_loss(group)
     field = "R" if real_field(group) else "C"
     rho = math.sqrt(overlap_limit(theta))
     tau = math.sqrt(residual_variance_limit(theta))
@@ -114,17 +112,16 @@ def predict_sync_loss(group: Group, theta: float, loss: LossSpec = None,
         prod = (rho * character(group, x) + tau * g) \
             * (rho * np.conj(character(group, y)) + tau * np.conj(h))
         decoded = round_to_group(group, prod)
-        return loss_values(group, difference(group, x, y), decoded, loss)
+        return loss_values(group, difference(group, x, y), decoded)
 
-    mean, err = _chunked_mc(draw, int(n_samples), int(seed), int(chunk_size))
-    label = f"{group} {loss if isinstance(loss, str) else 'table'} {rounding_rule(group)}"
+    mean, err = _chunked_mc(draw, int(n_samples), int(seed))
+    label = f"{group} {default_loss(group)} {rounding_rule(group)}"
     return PredictionEstimate(mean=mean, stderr=err, n_samples=int(n_samples),
                               theta=theta, label=label)
 
 
 def predict_entrywise(signal_sampler, psi, theta: float, field: str = "C",
                       n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                      chunk_size: int = DEFAULT_CHUNK,
                       label: str = "entrywise") -> PredictionEstimate:
     """Limiting average of a bounded test function of (true, estimated) entries.
 
@@ -156,7 +153,7 @@ def predict_entrywise(signal_sampler, psi, theta: float, field: str = "C",
             raise ValidationError("psi must return one real value per sample")
         return vals
 
-    mean, err = _chunked_mc(draw, int(n_samples), int(seed), int(chunk_size))
+    mean, err = _chunked_mc(draw, int(n_samples), int(seed))
     return PredictionEstimate(mean=mean, stderr=err, n_samples=int(n_samples),
                               theta=theta, label=label)
 

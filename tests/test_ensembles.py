@@ -95,6 +95,18 @@ def test_profile_gamma_bounds():
                  variance_profile=prof, gamma_w=10.0)
     with pytest.raises(ValidationError):
         EnsembleSpec(kind="goe", n=4, gamma_w=0.5)
+    # a NaN or infinite gamma_w bounds nothing: a zero variance would pass
+    zero = np.full((n, n), 1.0 / n)
+    zero[0, 1] = zero[1, 0] = 0.0
+    zero[0, 0] += 1.0 / n
+    zero[1, 1] += 1.0 / n
+    with pytest.raises(ValidationError, match="n\\*sigma\\^2"):
+        EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                     variance_profile=zero, gamma_w=2.0)
+    for gamma_w in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="gamma_w"):
+            EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                         variance_profile=zero, gamma_w=gamma_w)
     with pytest.raises(ValidationError, match="nonnegative"):
         neg = np.full((n, n), 1.0 / n)
         neg[0, 1] = neg[1, 0] = -1.0 / n
@@ -250,6 +262,8 @@ def test_spike_config_validation():
         SpikeConfig(theta=1.5, v=np.ones(4))  # norm 2
     with pytest.raises(ValidationError):
         SpikeConfig(theta=1.5, v=np.ones((2, 2)) / 2.0)
+    with pytest.raises(ValidationError, match="unit norm"):
+        SpikeConfig(theta=2.0, v=np.full(4, np.nan))
 
 
 def test_build_spiked_zero_noise():
@@ -440,8 +454,7 @@ def test_moment_profile_goe():
     assert prof.field == "R"
     assert np.all(prof.re2 == 0.1)
     assert np.all(prof.im2 == 0.0)
-    assert np.all(prof.diag_var == 0.2)
-    assert all(isinstance(v, float) for v in (prof.re2, prof.im2, prof.cross, prof.diag_var))
+    assert all(isinstance(v, float) for v in (prof.re2, prof.im2))
 
 
 def test_moment_profile_gue():
@@ -449,16 +462,13 @@ def test_moment_profile_gue():
     assert prof.field == "C"
     assert np.all(prof.re2 == 0.05)
     assert np.all(prof.im2 == 0.05)
-    assert np.all(prof.cross == 0.0)
-    assert np.all(prof.diag_var == 0.1)
-    assert all(isinstance(v, float) for v in (prof.re2, prof.im2, prof.cross, prof.diag_var))
+    assert all(isinstance(v, float) for v in (prof.re2, prof.im2))
 
 
 def test_moment_profile_flat_wigner_matches_goe_offdiag():
     spec = EnsembleSpec(kind="generalized-wigner", n=10, entry_law="rademacher")
     prof = moment_profile(spec)
     assert np.all(prof.re2 == 0.1)
-    assert np.all(prof.diag_var == 0.1)  # unlike GOE's 2/n diagonal
     cspec = EnsembleSpec(kind="generalized-wigner", n=10, entry_law="gaussian", field="C")
     cprof = moment_profile(cspec)
     assert np.all(cprof.re2 == 0.05)
@@ -495,13 +505,11 @@ def test_flat_moment_profile_matches_explicit_profile(law, field):
     pf, pe = moment_profile(flat), moment_profile(explicit)
     assert pf.field == pe.field == field
     off = ~np.eye(n, dtype=bool)
-    for name in ("re2", "im2", "cross"):
+    for name in ("re2", "im2"):
         scalar, array = getattr(pf, name), getattr(pe, name)
         assert isinstance(scalar, float)
         assert np.array_equal(np.broadcast_to(scalar, (n, n))[off],
                               np.broadcast_to(array, (n, n))[off])
-    assert isinstance(pf.diag_var, float)
-    assert np.array_equal(np.broadcast_to(pf.diag_var, n), pe.diag_var)
     classical = EnsembleSpec(kind="goe" if field == "R" else "gue", n=n, field=field)
     check_moment_match(classical, explicit)
     check_moment_match(explicit, classical)

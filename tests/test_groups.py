@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spikesim.errors import ValidationError
-from spikesim.groups import (CircleGroup, CyclicGroup, TableLoss, average_loss,
-                             canonicalize, character, character_table, compose,
-                             difference, estimate_group_matrix, haar_sample,
-                             identity_element, inverse, loss_values,
-                             pairwise_matrix, parse_group, round_to_group)
+from spikesim.groups import (CircleGroup, CyclicGroup, average_loss, canonicalize,
+                             character, character_table, compose, difference,
+                             estimate_group_matrix, haar_sample, identity_element,
+                             inverse, loss_values, pairwise_matrix, parse_group,
+                             round_to_group)
 from spikesim.rng import stream
 
 Z2 = CyclicGroup(2)
@@ -213,51 +213,21 @@ def test_estimate_group_matrix_noiseless():
 
 
 def test_loss_values():
-    assert np.array_equal(loss_values(Z5, [0, 1, 2], [0, 2, 2], "mismatch"), [0.0, 1.0, 0.0])
-    assert loss_values(U1, 1.0, 1.0, "one-minus-cos") == 0.0
-    assert loss_values(U1, 0.0, np.pi, "one-minus-cos") == pytest.approx(2.0)
-    assert loss_values(Z5, -1, 4, "mismatch") == 0.0  # canonicalized before comparing
-
-
-def test_loss_validation():
-    with pytest.raises(ValidationError):
-        loss_values(U1, 0.0, 0.0, "mismatch")
-    with pytest.raises(ValidationError):
-        loss_values(Z5, 0, 0, "one-minus-cos")
-    with pytest.raises(ValidationError):
-        loss_values(Z5, 0, 0, "hamming")
-    with pytest.raises(ValidationError):
-        loss_values(U1, 0.0, 0.0, TableLoss(np.zeros((2, 2))))
-    with pytest.raises(ValidationError):
-        loss_values(Z5, 0, 0, TableLoss(np.zeros((3, 3))))
-    with pytest.raises(ValidationError):
-        TableLoss(np.zeros((2, 3)))
-
-
-def test_table_loss_matches_explicit_loop():
-    rng = stream(6, "table")
-    table = rng.uniform(size=(5, 5))
-    tl = TableLoss(table)
-    a = haar_sample(Z5, 40, rng)
-    b = haar_sample(Z5, 40, rng)
-    vals = loss_values(Z5, a, b, tl)
-    for i in range(40):
-        assert vals[i] == table[a[i], b[i]]
-    # mismatch is the 0/1 table
-    zero_one = TableLoss(1.0 - np.eye(5))
-    assert np.array_equal(loss_values(Z5, a, b, zero_one),
-                          loss_values(Z5, a, b, "mismatch"))
+    assert np.array_equal(loss_values(Z5, [0, 1, 2], [0, 2, 2]), [0.0, 1.0, 0.0])
+    assert loss_values(U1, 1.0, 1.0) == 0.0
+    assert loss_values(U1, 0.0, np.pi) == pytest.approx(2.0)
+    assert loss_values(Z5, -1, 4) == 0.0  # canonicalized before comparing
 
 
 def test_average_loss_basics():
     x = haar_sample(Z5, 12, stream(7, "avg"))
     m = pairwise_matrix(Z5, x)
-    assert average_loss(Z5, m, m, "mismatch") == 0.0
-    assert average_loss(Z5, m, compose(Z5, m, 1), "mismatch") == 1.0
+    assert average_loss(Z5, m, m) == 0.0
+    assert average_loss(Z5, m, compose(Z5, m, 1)) == 1.0
     with pytest.raises(ValidationError):
-        average_loss(Z5, m, m[:5, :5], "mismatch")
+        average_loss(Z5, m, m[:5, :5])
     with pytest.raises(ValidationError):
-        average_loss(Z5, np.zeros(3), np.zeros(3), "mismatch")
+        average_loss(Z5, np.zeros(3), np.zeros(3))
 
 
 def test_average_loss_translation_invariance():
@@ -277,5 +247,5 @@ def test_average_loss_independent_angles_near_one():
     rng = stream(9, "indep")
     a = haar_sample(U1, 100, rng)
     b = haar_sample(U1, 100, rng)
-    val = average_loss(U1, pairwise_matrix(U1, a), pairwise_matrix(U1, b), "one-minus-cos")
+    val = average_loss(U1, pairwise_matrix(U1, a), pairwise_matrix(U1, b))
     assert abs(val - 1.0) <= 0.05

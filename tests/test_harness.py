@@ -150,13 +150,15 @@ def test_sweep_config_echo_round_trip():
     assert back == tiny_sweep_config(out_dir=".")
 
 
-def test_sweep_config_overrides():
-    cfg = tiny_sweep_config()
-    assert cfg.with_overrides() is cfg
-    moved = cfg.with_overrides(out_dir="elsewhere", master_seed=9)
-    assert moved.out_dir == "elsewhere"
-    assert moved.master_seed == 9
-    assert moved.theta_grid == cfg.theta_grid
+def test_sweep_config_overrides(tmp_path):
+    # --seed and --out-dir replace the config's values for both run commands
+    for command, text, report in (("sweep", SWEEP_TEXT, "report.json"),
+                                  ("universality", UNIV_TEXT, "universality.json")):
+        cfg_path = write_config(tmp_path, text, name=f"{command}.cfg")
+        out_dir = tmp_path / f"{command}-moved"
+        assert main([command, cfg_path, "--seed", "9", "--out-dir", str(out_dir),
+                     "--format", "json"]) == 0
+        assert json.load(open(out_dir / report))["config"]["master_seed"] == 9
 
 
 def test_parse_ensemble_forms():
@@ -311,6 +313,14 @@ def test_nonfinite_values_refuse_to_serialize(tmp_path):
     report = SweepReport(config=cfg, records=(rec,), summaries=(summ,))
     with pytest.raises(ValueError):
         write_sweep_csv(report, str(tmp_path / "bad.csv"))
+    # the JSON writers refuse too; no writer leaves a file behind
+    with pytest.raises(ValueError):
+        write_sweep_json(report, str(tmp_path / "bad.json"))
+    pair = PairComparison(i=0, j=1, mean_a=math.nan, stderr_a=0.1, mean_b=0.2, stderr_b=0.1)
+    univ = UniversalityReport(config_echo={"n": 4}, pairs=(pair,))
+    with pytest.raises(ValueError):
+        write_universality_json(univ, str(tmp_path / "bad-u.json"))
+    assert os.listdir(tmp_path) == []
 
 
 # Report digests of two small sweeps: a change to any byte a sweep writes
@@ -580,6 +590,16 @@ def test_cli_predict(capsys):
     out = capsys.readouterr().out
     assert "Z/2 mismatch nearest-character" in out
     assert "closed_form=0.0797980267959431" in out
+    # the closed form exists for Z/2 only
+    assert main(["predict", "--group", "U(1)", "--theta", "2.0", "--samples", "2000"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("U(1) one-minus-cos phase theta=2\n")
+    assert "closed_form=" not in out
+    # the loss belongs to the group: there is no option to choose it
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--group", "Z/2", "--theta", "2.0", "--loss", "mismatch"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --loss" in capsys.readouterr().err
 
 
 def test_cli_predict_rejects_subcritical(capsys):
@@ -665,6 +685,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         not_report.write_text(json.dumps(payload))
         assert main(["plot", str(not_report)]) == 2
         assert "not a sweep report" in capsys.readouterr().err
+    # a report holding a non-finite number is refused before anything is drawn
+    good = tmp_path / "good"
+    assert main(["sweep", write_config(tmp_path, SWEEP_TEXT), "--out-dir", str(good),
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    text = (good / "report.json").read_text()
+    field = f'"empirical_loss": {json.loads(text)["records"][0]["empirical_loss"]!r}'
+    assert field in text
+    for bad in ("NaN", "Infinity", "-Infinity", "1e999"):
+        not_report.write_text(text.replace(field, f'"empirical_loss": {bad}', 1))
+        svg = tmp_path / "nonfinite.svg"
+        assert main(["plot", str(not_report), "--out", str(svg)]) == 2
+        assert f"non-finite number {bad}" in capsys.readouterr().err
+        assert not svg.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -12,7 +12,6 @@ import pytest
 from scipy import integrate
 
 from spikesim import (
-    TableLoss,
     ValidationError,
     character,
     overlap_limit,
@@ -22,6 +21,7 @@ from spikesim import (
     z2_mismatch_exact,
 )
 from spikesim.groups import haar_sample
+from spikesim.predictions import CHUNK
 
 Z2 = parse_group("Z/2")
 Z5 = parse_group("Z/5")
@@ -115,17 +115,13 @@ def test_mc_two_seeds_agree_statistically():
     assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.stderr, b.stderr)
 
 
-def test_mc_chunking_contract():
-    # same (seed, chunk_size) is bit-stable; a different partition redraws
-    kw = dict(n_samples=100000, seed=3)
-    a = predict_sync_loss(Z2, 2.0, chunk_size=100000, **kw)
-    b = predict_sync_loss(Z2, 2.0, chunk_size=100000, **kw)
-    assert a.mean == b.mean
-    c = predict_sync_loss(Z2, 2.0, chunk_size=30000, **kw)
-    assert c.mean != a.mean
-    assert abs(c.mean - a.mean) <= 4.0 * math.hypot(a.stderr, c.stderr)
-    with pytest.raises(ValueError):
-        predict_sync_loss(Z2, 2.0, chunk_size=0, **kw)
+def test_mc_two_chunks_pinned():
+    # the chunk size names the Monte Carlo streams; this two-chunk estimate
+    # pins the bits of the 1 << 20 chunking
+    assert CHUNK == 1 << 20
+    est = predict_sync_loss(Z2, 2.0, n_samples=CHUNK + 1000, seed=3)
+    assert est.mean == 0.07981318170384993
+    assert est.stderr == 0.00026452612925435793
 
 
 def test_mc_stderr_scales_with_samples():
@@ -142,14 +138,6 @@ def test_mc_monotone_in_theta():
         if prev is not None:
             assert est.mean < prev.mean + 4.0 * math.hypot(est.stderr, prev.stderr)
         prev = est
-
-
-def test_mc_table_loss_reproduces_mismatch():
-    table = TableLoss(1.0 - np.eye(5))
-    a = predict_sync_loss(Z5, 2.0, loss="mismatch", n_samples=50000, seed=6)
-    b = predict_sync_loss(Z5, 2.0, loss=table, n_samples=50000, seed=6)
-    assert a.mean == b.mean  # identical decode path, equal loss table
-    assert b.label == "Z/5 table nearest-character"
 
 
 def test_mc_circle_loss_in_range():
@@ -194,7 +182,7 @@ def test_entrywise_consistent_with_sync_path():
     def psi(first, second):
         truth = round_to_group(Z5, first)  # decode is exact on characters
         decoded = round_to_group(Z5, second)
-        return loss_values(Z5, truth, decoded, "mismatch")
+        return loss_values(Z5, truth, decoded)
 
     a = predict_entrywise(char_sampler, psi, theta=theta, field="C",
                           n_samples=300000, seed=11, label="z5 via psi")
