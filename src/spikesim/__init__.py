@@ -13,7 +13,7 @@ from .limits import (outlier_eigenvalue, overlap_limit, residual_variance_limit,
                      semicircle_density)
 from .matrices import HermitianMatrix, symmetrize
 from .ensembles import (EnsembleSpec, SpikeConfig, build_spiked, is_group_hermitian,
-                        moment_profile, sample_ensemble, sample_generalized_wigner,
+                        sample_ensemble, sample_generalized_wigner,
                         sample_goe, sample_gue, sample_truth_or_haar,
                         sync_observation_matrix, validate_wigner_moment_profile)
 from .spectral import (SpectralEstimate, eigvec_via_resolvent, fix_phase,
@@ -37,7 +37,7 @@ __all__ = [
     "EnsembleSpec", "sample_goe", "sample_gue",
     "sample_generalized_wigner", "sample_ensemble", "SpikeConfig", "build_spiked",
     "sample_truth_or_haar", "is_group_hermitian", "sync_observation_matrix",
-    "validate_wigner_moment_profile", "moment_profile",
+    "validate_wigner_moment_profile",
     "SpectralEstimate", "top_eigenpair", "fix_phase", "overlap_sq",
     "resolvent_solve", "secular_root", "eigvec_via_resolvent", "local_law_residual",
     "PredictionEstimate", "predict_sync_loss", "predict_entrywise",

@@ -30,6 +30,9 @@ CIRCLE_HERMITIAN_TOL = 1e-9
 EPS_W = 0.5
 C_W = 8.0
 
+# a given variance profile must keep n*sigma^2_ij within [1/GAMMA_W, GAMMA_W]
+GAMMA_W = 10.0
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -37,7 +40,7 @@ class EnsembleSpec:
 
     ``variance_profile`` is the n x n matrix of entry variances sigma^2_ij for
     the generalized Wigner kinds (default ``None``: flat 1/n, never
-    materialized).  ``gamma_w`` bounds n*sigma^2_ij away from 0 and infinity.
+    materialized).  n*sigma^2_ij must lie within [1/``GAMMA_W``, ``GAMMA_W``].
     """
 
     kind: str
@@ -45,7 +48,6 @@ class EnsembleSpec:
     entry_law: str | None = None
     variance_profile: np.ndarray | None = None
     field: str = "R"
-    gamma_w: float = 10.0
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
@@ -66,8 +68,6 @@ class EnsembleSpec:
             if self.entry_law not in ENTRY_LAWS:
                 raise ValidationError(
                     f"entry_law must be one of {ENTRY_LAWS} for {self.kind}, got {self.entry_law!r}")
-        if not (np.isfinite(self.gamma_w) and self.gamma_w >= 1.0):
-            raise ValidationError(f"gamma_w must be finite and >= 1, got {self.gamma_w!r}")
         if self.variance_profile is None:
             return
         # a given profile is checked once, here; the read-only copy keeps later
@@ -87,13 +87,18 @@ class EnsembleSpec:
             more = "" if bad.size <= 5 else f" (+{bad.size - 5} more)"
             raise ValidationError(f"variance profile rows must sum to 1; violations: {shown}{more}")
         scaled = n * prof
-        gamma = self.gamma_w
-        if np.any(scaled < 1.0 / gamma - 1e-12) or np.any(scaled > gamma + 1e-12):
+        if np.any(scaled < 1.0 / GAMMA_W - 1e-12) or np.any(scaled > GAMMA_W + 1e-12):
             raise ValidationError(
-                f"n*sigma^2 must lie in [{1.0 / gamma:.4g}, {gamma:.4g}]; "
+                f"n*sigma^2 must lie in [{1.0 / GAMMA_W:.4g}, {GAMMA_W:.4g}]; "
                 f"observed range [{scaled.min():.4g}, {scaled.max():.4g}]")
         prof.setflags(write=False)
         object.__setattr__(self, "variance_profile", prof)
+
+    @property
+    def offdiag_variance(self) -> float | np.ndarray:
+        """E|W_ij|^2 off the diagonal: the float 1/n for GOE, GUE and flat
+        Wigner, else the given profile."""
+        return 1.0 / self.n if self.variance_profile is None else self.variance_profile
 
 
 def sample_goe(n: int, seed) -> HermitianMatrix:
@@ -364,32 +369,3 @@ def validate_wigner_moment_profile(samples, field: str) -> MomentProfileReport:
     d2, se_d2 = _pooled(diag ** 2)
     add("diag-second-moment-bound", d2, C_W / n, 3.0 * se_d2, kind="upper")
     return MomentProfileReport(field=field, n=n, n_samples=len(mats), checks=tuple(checks))
-
-
-@dataclass(frozen=True)
-class MomentProfile:
-    """Analytic second moments of the real and imaginary parts of each entry.
-
-    A moment is a float when it is the same for every entry, as for GOE, GUE
-    and flat Wigner.  A given variance profile makes ``re2`` (and ``im2`` for
-    field C) n x n arrays.  Every ensemble here draws the two parts
-    independently, so the cross moment is zero.
-    """
-
-    re2: float | np.ndarray
-    im2: float | np.ndarray
-    field: str
-
-
-def moment_profile(spec: EnsembleSpec) -> MomentProfile:
-    """Analytic moment profile used by the universality moment-matching gate."""
-    n = spec.n
-    if spec.kind == "goe":
-        return MomentProfile(1.0 / n, 0.0, "R")
-    if spec.kind == "gue":
-        return MomentProfile(0.5 / n, 0.5 / n, "C")
-    var = 1.0 / n if spec.variance_profile is None else spec.variance_profile
-    if spec.field == "R":
-        return MomentProfile(var, 0.0, "R")
-    half = var / 2.0
-    return MomentProfile(half, half, "C")

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from ..errors import ValidationError
 from ..groups import parse_group, real_field
-from ..predictions import predict_sync_loss, z2_mismatch_exact
+from ..predictions import DEFAULT_SAMPLES, predict_sync_loss, z2_mismatch_exact
 from .config import parse_sweep_config, parse_universality_config
 from .report import (load_sweep_report, write_sweep_csv, write_sweep_json,
                      write_universality_csv, write_universality_json)
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="evaluate the limit prediction once")
     predict.add_argument("--group", required=True, help="Z/L or U(1)")
     predict.add_argument("--theta", type=float, required=True)
-    predict.add_argument("--samples", type=int, default=1_000_000)
+    predict.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     predict.add_argument("--seed", type=int, default=0)
 
     plot = sub.add_parser("plot", help="render sweep report JSON files to SVG")
@@ -66,50 +66,47 @@ def _override(config, args):
     return config
 
 
-def _cmd_sweep(args) -> int:
-    config = _override(parse_sweep_config(args.config), args)
-    report = run_sweep(config, workers=args.workers)
-    os.makedirs(config.out_dir, exist_ok=True)
+# (--format choice, file name, writer); None is written under every choice
+SWEEP_OUTPUTS = (("csv", "report.csv", write_sweep_csv),
+                 ("json", "report.json", write_sweep_json),
+                 (None, "report.svg", write_sweep_svg))
+UNIVERSALITY_OUTPUTS = (("csv", "universality.csv", write_universality_csv),
+                        ("json", "universality.json", write_universality_json))
+
+
+def _emit(report, outputs, out_dir: str, fmt: str, lines) -> int:
+    """Write the outputs that --format selects into out_dir, then print the
+    run's summary lines and each path written."""
+    os.makedirs(out_dir, exist_ok=True)
     written = []
-    if args.format in ("csv", "both"):
-        path = os.path.join(config.out_dir, "report.csv")
-        write_sweep_csv(report, path)
-        written.append(path)
-    if args.format in ("json", "both"):
-        path = os.path.join(config.out_dir, "report.json")
-        write_sweep_json(report, path)
-        written.append(path)
-    svg_path = os.path.join(config.out_dir, "report.svg")
-    write_sweep_svg(report, svg_path)
-    written.append(svg_path)
-    for summary in report.summaries:
-        print(f"theta={summary.theta:g} empirical={summary.empirical_mean:.4f}"
-              f"(std {summary.empirical_std:.4f}) "
-              f"predicted={summary.prediction_mean:.4f}"
-              f"(stderr {summary.prediction_stderr:.1e})")
+    for kind, name, write in outputs:
+        if kind is None or fmt in (kind, "both"):
+            path = os.path.join(out_dir, name)
+            write(report, path)
+            written.append(path)
+    for line in lines:
+        print(line)
     for path in written:
         print(f"wrote {path}")
     return 0
+
+
+def _cmd_sweep(args) -> int:
+    config = _override(parse_sweep_config(args.config), args)
+    report = run_sweep(config, workers=args.workers)
+    lines = [f"theta={s.theta:g} empirical={s.empirical_mean:.4f}"
+             f"(std {s.empirical_std:.4f}) "
+             f"predicted={s.prediction_mean:.4f}"
+             f"(stderr {s.prediction_stderr:.1e})" for s in report.summaries]
+    return _emit(report, SWEEP_OUTPUTS, config.out_dir, args.format, lines)
 
 
 def _cmd_universality(args) -> int:
     config = _override(parse_universality_config(args.config), args)
     report = run_universality_config(config, workers=args.workers)
-    os.makedirs(config.out_dir, exist_ok=True)
-    written = []
-    if args.format in ("csv", "both"):
-        path = os.path.join(config.out_dir, "universality.csv")
-        write_universality_csv(report, path)
-        written.append(path)
-    if args.format in ("json", "both"):
-        path = os.path.join(config.out_dir, "universality.json")
-        write_universality_json(report, path)
-        written.append(path)
-    print(f"pairs={len(report.pairs)} max|diff|={report.max_abs_diff:.5f} "
-          f"max sigma={report.max_sigma:.2f}")
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    line = (f"pairs={len(report.pairs)} max|diff|={report.max_abs_diff:.5f} "
+            f"max sigma={report.max_sigma:.2f}")
+    return _emit(report, UNIVERSALITY_OUTPUTS, config.out_dir, args.format, [line])
 
 
 def _cmd_predict(args) -> int:

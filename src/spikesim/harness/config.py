@@ -14,9 +14,11 @@ import numpy as np
 from ..ensembles import EnsembleSpec
 from ..errors import ValidationError
 from ..groups import Group, default_loss, parse_group, rounding_rule
+from ..predictions import DEFAULT_SAMPLES, MIN_SAMPLES
 
 NOISE_MODELS = ("truth-or-haar", "gaussian-additive")
-PHI_NAMES = ("tanh", "cos", "sin")
+# universality statistics phi, applied to n * Re(u_i conj(u_j))
+PHI_FUNCS = {"tanh": np.tanh, "cos": np.cos, "sin": np.sin}
 SIGNAL_KINDS = ("haar", "uniform")
 
 
@@ -64,6 +66,15 @@ def _parse_float(text: str, key: str) -> float:
         raise ValidationError(f"key {key!r}: expected a number, got {text!r}") from None
 
 
+def echoed_int(data: dict, key: str) -> int:
+    """An integer field of an echoed config or a loaded report: JSON may spell
+    120 as 120.0, but 120.7 is refused, not truncated."""
+    value = data[key]
+    if type(value) not in (int, float) or value != int(value):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     items = [p for chunk in text.split(",") for p in chunk.split()]
     return tuple(_parse_float(p, "theta_grid") for p in items)
@@ -92,8 +103,8 @@ class SweepConfig:
         if self.noise_model not in NOISE_MODELS:
             raise ValidationError(f"noise_model must be one of {NOISE_MODELS}, "
                                   f"got {self.noise_model!r}")
-        if self.mc_samples < 1000:
-            raise ValidationError("mc_samples must be >= 1000")
+        if self.mc_samples < MIN_SAMPLES:
+            raise ValidationError(f"mc_samples must be >= {MIN_SAMPLES}")
         grid = tuple(float(t) for t in self.theta_grid)
         if not grid:
             raise ValidationError("theta_grid must hold at least one theta value")
@@ -133,12 +144,12 @@ class SweepConfig:
 
     @classmethod
     def from_echo(cls, data: dict, out_dir: str = ".") -> "SweepConfig":
-        return cls(group=parse_group(data["group"]), n=int(data["n"]),
+        return cls(group=parse_group(data["group"]), n=echoed_int(data, "n"),
                    theta_grid=tuple(float(t) for t in data["theta_grid"]),
-                   trials=int(data["trials"]), noise_model=data["noise_model"],
+                   trials=echoed_int(data, "trials"), noise_model=data["noise_model"],
                    rounding=data["round"], loss=data["loss"],
-                   mc_samples=int(data["mc_samples"]),
-                   master_seed=int(data["master_seed"]), out_dir=out_dir)
+                   mc_samples=echoed_int(data, "mc_samples"),
+                   master_seed=echoed_int(data, "master_seed"), out_dir=out_dir)
 
 
 SWEEP_KEYS = {
@@ -159,7 +170,7 @@ def parse_sweep_config(path: str) -> SweepConfig:
         noise_model=pairs["noise_model"],
         rounding=rounding_rule(group),
         loss=default_loss(group),
-        mc_samples=_parse_int(pairs.get("mc_samples", "1000000"), "mc_samples"),
+        mc_samples=_parse_int(pairs.get("mc_samples", str(DEFAULT_SAMPLES)), "mc_samples"),
         master_seed=_parse_int(pairs["master_seed"], "master_seed"),
         out_dir=pairs.get("out_dir", "."),
     )
@@ -184,6 +195,15 @@ def parse_ensemble(text: str, n: int) -> EnsembleSpec:
                           "(expected 'goe', 'gue', or 'wigner:<law>[:C]')")
 
 
+def ensemble_text(spec: EnsembleSpec) -> str:
+    """Inverse of ``parse_ensemble``; a variance profile has no text form and
+    is left out."""
+    if spec.kind == "generalized-wigner":
+        tag = f"wigner:{spec.entry_law}"
+        return tag + ":c" if spec.field == "C" else tag
+    return spec.kind
+
+
 @dataclass(frozen=True)
 class UniversalityConfig:
     """Definition of an A/B comparison between two moment-matched ensembles."""
@@ -206,8 +226,8 @@ class UniversalityConfig:
             raise ValidationError("need at least 2 trials for standard errors")
         if self.n_pairs < 1:
             raise ValidationError("n_pairs must be >= 1")
-        if self.phi not in PHI_NAMES:
-            raise ValidationError(f"phi must be one of {PHI_NAMES}, got {self.phi!r}")
+        if self.phi not in PHI_FUNCS:
+            raise ValidationError(f"phi must be one of {tuple(PHI_FUNCS)}, got {self.phi!r}")
         if self.signal not in SIGNAL_KINDS:
             raise ValidationError(f"signal must be one of {SIGNAL_KINDS}, got {self.signal!r}")
         if not np.isfinite(self.theta) or self.theta <= 0:

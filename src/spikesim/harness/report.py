@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import __version__
 from ..errors import ValidationError
-from .config import SweepConfig
+from .config import SweepConfig, echoed_int
 
 CSV_COLUMNS = ("group", "n", "noise_model", "theta", "trial", "seed",
                "empirical_loss", "prediction_mean", "prediction_stderr")
@@ -115,9 +115,23 @@ def write_sweep_json(report: SweepReport, path: str, include_timing: bool = Fals
     _write_json(_sweep_payload(report, include_timing), path)
 
 
+def _check_sweep_report(config: SweepConfig, records, summaries) -> None:
+    """A report must agree with itself: each record's theta is the grid's at
+    its theta_index, and each grid theta has one summary, in grid order, of the
+    config's Monte Carlo size."""
+    grid = config.theta_grid
+    for r in records:
+        if not (0 <= r.theta_index < len(grid) and r.theta == grid[r.theta_index]):
+            raise ValidationError(f"record theta_index {r.theta_index}, theta {r.theta!r} "
+                                  f"is not on the theta grid {list(grid)}")
+    if [(s.theta, s.mc_samples) for s in summaries] != [(t, config.mc_samples) for t in grid]:
+        raise ValidationError(f"summaries must give each theta of {list(grid)} in order, "
+                              f"with mc_samples {config.mc_samples}")
+
+
 def load_sweep_report(path: str) -> SweepReport:
-    """Read a sweep ``report.json``; JSON not shaped like a report, or holding a
-    non-finite number, is a ValidationError."""
+    """Read a sweep ``report.json``; JSON not shaped like a report, holding a
+    non-finite number, or disagreeing with itself is a ValidationError."""
 
     def finite(text: str) -> float:
         value = float(text)
@@ -130,8 +144,8 @@ def load_sweep_report(path: str) -> SweepReport:
     try:
         config = SweepConfig.from_echo(data["config"])
         records = tuple(
-            TrialRecord(theta_index=int(r["theta_index"]), theta=float(r["theta"]),
-                        trial=int(r["trial"]), seed=str(r["seed"]),
+            TrialRecord(theta_index=echoed_int(r, "theta_index"), theta=float(r["theta"]),
+                        trial=echoed_int(r, "trial"), seed=str(r["seed"]),
                         empirical_loss=float(r["empirical_loss"]))
             for r in data["records"])
         summaries = tuple(
@@ -139,15 +153,16 @@ def load_sweep_report(path: str) -> SweepReport:
                          empirical_std=float(s["empirical_std"]),
                          prediction_mean=float(s["prediction_mean"]),
                          prediction_stderr=float(s["prediction_stderr"]),
-                         mc_samples=int(s["mc_samples"]))
+                         mc_samples=echoed_int(s, "mc_samples"))
             for s in data["summaries"])
+        _check_sweep_report(config, records, summaries)
         meta = data.get("meta", {})
         version = str(meta.get("version", __version__))
         wall_time_s = meta.get("wall_time_s")
     except KeyError as exc:
         raise ValidationError(
             f"{path}: not a sweep report, missing key {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValidationError) as exc:
         raise ValidationError(f"{path}: not a sweep report ({exc})") from None
     return SweepReport(config=config, records=records, summaries=summaries,
                        version=version, wall_time_s=wall_time_s)

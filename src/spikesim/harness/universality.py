@@ -12,41 +12,40 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..ensembles import (EnsembleSpec, SpikeConfig, build_spiked, moment_profile,
-                         sample_ensemble)
+from ..ensembles import EnsembleSpec, SpikeConfig, build_spiked, sample_ensemble
 from ..errors import ValidationError
 from ..rng import stream
 from ..spectral import top_eigenpair
-from .config import UniversalityConfig, parse_ensemble
+from .config import PHI_FUNCS, UniversalityConfig, ensemble_text, parse_ensemble
 from .report import PairComparison, UniversalityReport
 
-PHI_FUNCS = {"tanh": np.tanh, "cos": np.cos, "sin": np.sin}
-
-# analytic profiles must agree to rounding error off the diagonal
+# analytic variances must agree to rounding error off the diagonal
 MOMENT_MATCH_TOL = 1e-12
 
 
 def check_moment_match(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> None:
     """Reject ensemble pairs whose off-diagonal second moments differ.
 
+    Every ensemble here draws the real and imaginary parts of an entry
+    independently with equal variance, so the variance of each part (sigma^2
+    for field R, sigma^2/2 for C) is the whole second-moment profile.
     Diagonal variances are exempt: they only enter at lower order and the
     classical ensembles disagree there by design.
     """
     if spec_a.n != spec_b.n:
         raise ValidationError(f"ensemble sizes differ: {spec_a.n} vs {spec_b.n}")
-    pa, pb = moment_profile(spec_a), moment_profile(spec_b)
-    if pa.field != pb.field:
+    if spec_a.field != spec_b.field:
         raise ValidationError("ensembles must share the same field "
-                              f"(got {pa.field} vs {pb.field})")
-    for name, a, b in (("re", pa.re2, pb.re2), ("im", pa.im2, pb.im2)):
-        diff = np.abs(a - b)
-        if np.ndim(diff):  # a given profile: its diagonal is exempt too
-            np.fill_diagonal(diff, 0.0)
-        worst = float(np.max(diff))
-        if worst > MOMENT_MATCH_TOL:
-            raise ValidationError(
-                f"off-diagonal {name} second moments are not matched "
-                f"(max deviation {worst:.3e})")
+                              f"(got {spec_a.field} vs {spec_b.field})")
+    per_part = 1.0 if spec_a.field == "R" else 0.5
+    diff = per_part * np.abs(spec_a.offdiag_variance - spec_b.offdiag_variance)
+    if np.ndim(diff):  # a given profile: its diagonal is exempt too
+        np.fill_diagonal(diff, 0.0)
+    worst = float(np.max(diff))
+    if worst > MOMENT_MATCH_TOL:
+        raise ValidationError(
+            f"off-diagonal re second moments are not matched "
+            f"(max deviation {worst:.3e})")
 
 
 def check_delocalized(v: np.ndarray) -> None:
@@ -71,7 +70,8 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
                         workers: int = 1, config_echo: dict | None = None,
                         ) -> UniversalityReport:
     """Compare phi(n * Re(u_i conj(u_j))) of the outlier eigenvector u between
-    two moment-matched ensembles, with the same planted direction v.
+    two moment-matched ensembles, with the same planted direction v.  ``phi``
+    names one of the statistics in ``PHI_FUNCS``.
 
     The two arms use independent streams keyed off ``seed``; matching is in
     distribution, not pathwise, so the comparison happens at the level of
@@ -95,17 +95,14 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValidationError(f"invalid index pair ({i}, {j}) for n = {n}")
-    phi_name = phi if isinstance(phi, str) else getattr(phi, "__name__", "custom")
-    if isinstance(phi, str):
-        if phi not in PHI_FUNCS:
-            raise ValidationError(f"unknown statistic {phi!r}")
-        phi = PHI_FUNCS[phi]
+    if phi not in PHI_FUNCS:
+        raise ValidationError(f"unknown statistic {phi!r}")
 
     def one_trial(task):
         label, spec, t = task
         w = sample_ensemble(spec, stream(seed, "universality", label, t))
         est = top_eigenpair(build_spiked(spike, w))
-        return _pair_stats(est.eigenvector, pairs, phi, n)
+        return _pair_stats(est.eigenvector, pairs, PHI_FUNCS[phi], n)
 
     tasks = [(label, spec, t) for label, spec in (("a", spec_a), ("b", spec_b))
              for t in range(trials)]
@@ -127,20 +124,13 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
             stderr_b=float(stats_b[:, k].std(ddof=1) / root)))
     if config_echo is None:
         config_echo = {
-            "ensemble_a": _spec_echo(spec_a), "ensemble_b": _spec_echo(spec_b),
-            "n": n, "theta": float(theta), "phi": phi_name,
+            "ensemble_a": ensemble_text(spec_a), "ensemble_b": ensemble_text(spec_b),
+            "n": n, "theta": float(theta), "phi": phi,
             "n_pairs": len(pairs), "trials": trials, "master_seed": seed,
             "signal": "explicit",
         }
     return UniversalityReport(config_echo=config_echo, pairs=tuple(comparisons),
                               wall_time_s=time.perf_counter() - start)
-
-
-def _spec_echo(spec: EnsembleSpec) -> str:
-    if spec.kind == "generalized-wigner":
-        tag = f"wigner:{spec.entry_law}"
-        return tag + ":c" if spec.field == "C" else tag
-    return spec.kind
 
 
 def _signal_vector(kind: str, n: int, field: str, rng) -> np.ndarray:

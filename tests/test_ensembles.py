@@ -12,7 +12,6 @@ from spikesim import (
     character,
     derive_key,
     is_group_hermitian,
-    moment_profile,
     pairwise_matrix,
     parse_group,
     sample_ensemble,
@@ -24,7 +23,7 @@ from spikesim import (
     sync_observation_matrix,
     validate_wigner_moment_profile,
 )
-from spikesim.ensembles import ENTRY_LAWS, circle_distance
+from spikesim.ensembles import ENTRY_LAWS, GAMMA_W, circle_distance
 from spikesim.harness.universality import check_moment_match
 from spikesim.groups import haar_sample
 
@@ -78,35 +77,30 @@ def test_profile_row_sum_validation():
                      variance_profile=bad)
 
 
-def test_profile_gamma_bounds():
-    n = 8
-    # symmetric transfer within rows 0 and 1 keeps row sums at 1 but drives
-    # n*sigma^2_01 down to 0.1, below 1/gamma for gamma = 2
+def _transfer_profile(n, scaled):
+    """Flat profile with n*sigma^2_01 moved to ``scaled``; the surplus goes to
+    the diagonal, so rows still sum to 1."""
     prof = np.full((n, n), 1.0 / n)
-    delta = 0.9 / n
+    delta = (1.0 - scaled) / n
     prof[0, 1] = prof[1, 0] = 1.0 / n - delta
     prof[0, 0] += delta
     prof[1, 1] += delta
+    return prof
+
+
+def test_profile_gamma_bounds():
+    n = 8
+    assert GAMMA_W == 10.0
+    # n*sigma^2_01 = 0.05 lies below 1/GAMMA_W; 0.1 is exactly the loose edge
     with pytest.raises(ValidationError, match="n\\*sigma\\^2"):
         EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                     variance_profile=prof, gamma_w=2.0)
-    # 0.1 is exactly the loose lower edge
+                     variance_profile=_transfer_profile(n, 0.05))
     EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                 variance_profile=prof, gamma_w=10.0)
-    with pytest.raises(ValidationError):
-        EnsembleSpec(kind="goe", n=4, gamma_w=0.5)
-    # a NaN or infinite gamma_w bounds nothing: a zero variance would pass
-    zero = np.full((n, n), 1.0 / n)
-    zero[0, 1] = zero[1, 0] = 0.0
-    zero[0, 0] += 1.0 / n
-    zero[1, 1] += 1.0 / n
+                 variance_profile=_transfer_profile(n, 0.1))
+    # a zero variance is refused
     with pytest.raises(ValidationError, match="n\\*sigma\\^2"):
         EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                     variance_profile=zero, gamma_w=2.0)
-    for gamma_w in (np.nan, np.inf):
-        with pytest.raises(ValidationError, match="gamma_w"):
-            EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                         variance_profile=zero, gamma_w=gamma_w)
+                     variance_profile=_transfer_profile(n, 0.0))
     with pytest.raises(ValidationError, match="nonnegative"):
         neg = np.full((n, n), 1.0 / n)
         neg[0, 1] = neg[1, 0] = -1.0 / n
@@ -447,37 +441,10 @@ def test_validator_input_validation():
         validate_wigner_moment_profile([sample_gue(10, 0)], "R")  # complex in R mode
 
 
-# ------------------------------------------------------------ moment profiles
-
-def test_moment_profile_goe():
-    prof = moment_profile(EnsembleSpec(kind="goe", n=10))
-    assert prof.field == "R"
-    assert np.all(prof.re2 == 0.1)
-    assert np.all(prof.im2 == 0.0)
-    assert all(isinstance(v, float) for v in (prof.re2, prof.im2))
-
-
-def test_moment_profile_gue():
-    prof = moment_profile(EnsembleSpec(kind="gue", n=10, field="C"))
-    assert prof.field == "C"
-    assert np.all(prof.re2 == 0.05)
-    assert np.all(prof.im2 == 0.05)
-    assert all(isinstance(v, float) for v in (prof.re2, prof.im2))
-
-
-def test_moment_profile_flat_wigner_matches_goe_offdiag():
-    spec = EnsembleSpec(kind="generalized-wigner", n=10, entry_law="rademacher")
-    prof = moment_profile(spec)
-    assert np.all(prof.re2 == 0.1)
-    cspec = EnsembleSpec(kind="generalized-wigner", n=10, entry_law="gaussian", field="C")
-    cprof = moment_profile(cspec)
-    assert np.all(cprof.re2 == 0.05)
-    assert np.all(cprof.im2 == 0.05)
-
-
 # ---------------------------------- scalar fast paths against explicit arrays
-# The flat default profile and the classical moment profiles stay scalars;
-# an explicit np.full((n, n), 1/n) profile is the array reference they replace.
+# The flat default profile and the classical off-diagonal variances stay
+# scalars; an explicit np.full((n, n), 1/n) profile is the array reference they
+# replace.
 
 def _flat_pair(n, law, field):
     flat = EnsembleSpec(kind="generalized-wigner", n=n, entry_law=law, field=field)
@@ -502,15 +469,14 @@ def test_flat_profile_samples_match_explicit_profile(n, law, field):
 def test_flat_moment_profile_matches_explicit_profile(law, field):
     n = 9
     flat, explicit = _flat_pair(n, law, field)
-    pf, pe = moment_profile(flat), moment_profile(explicit)
-    assert pf.field == pe.field == field
-    off = ~np.eye(n, dtype=bool)
-    for name in ("re2", "im2"):
-        scalar, array = getattr(pf, name), getattr(pe, name)
-        assert isinstance(scalar, float)
-        assert np.array_equal(np.broadcast_to(scalar, (n, n))[off],
-                              np.broadcast_to(array, (n, n))[off])
     classical = EnsembleSpec(kind="goe" if field == "R" else "gue", n=n, field=field)
+    for spec in (flat, classical):
+        assert isinstance(spec.offdiag_variance, float)
+        assert spec.offdiag_variance == 1.0 / n
+    assert explicit.offdiag_variance is explicit.variance_profile
+    off = ~np.eye(n, dtype=bool)
+    assert np.array_equal(np.broadcast_to(flat.offdiag_variance, (n, n))[off],
+                          explicit.offdiag_variance[off])
     check_moment_match(classical, explicit)
     check_moment_match(explicit, classical)
     check_moment_match(classical, flat)

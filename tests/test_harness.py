@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from spikesim import EnsembleSpec, ValidationError, parse_group
+from spikesim.ensembles import ENTRY_LAWS
 from spikesim.harness import (
     SweepConfig,
     UniversalityConfig,
@@ -32,6 +33,7 @@ from spikesim.harness import (
     write_universality_json,
 )
 from spikesim.harness.cli import main
+from spikesim.harness.config import ensemble_text
 from spikesim.harness.report import (
     CSV_COLUMNS,
     PairComparison,
@@ -40,7 +42,8 @@ from spikesim.harness.report import (
     UniversalityReport,
     summarize_trials,
 )
-from spikesim.harness.universality import _draw_pairs, _signal_vector, check_moment_match
+from spikesim.harness.universality import (MOMENT_MATCH_TOL, _draw_pairs, _signal_vector,
+                                          check_moment_match)
 from spikesim.rng import stream
 
 Z2 = parse_group("Z/2")
@@ -171,6 +174,17 @@ def test_parse_ensemble_forms():
     for bad in ("wishart", "wigner:cauchy", "wigner:gaussian:q", "wigner"):
         with pytest.raises(ValidationError):
             parse_ensemble(bad, 8)
+
+
+def test_ensemble_text_round_trip():
+    n = 8
+    specs = [EnsembleSpec(kind="goe", n=n), EnsembleSpec(kind="gue", n=n, field="C")]
+    specs += [EnsembleSpec(kind="generalized-wigner", n=n, entry_law=law, field=field)
+              for law in ENTRY_LAWS for field in ("R", "C")]
+    for spec in specs:
+        assert parse_ensemble(ensemble_text(spec), n) == spec
+    assert [ensemble_text(s) for s in specs[:4]] == [
+        "goe", "gue", "wigner:gaussian", "wigner:gaussian:c"]
 
 
 UNIV_TEXT = """\
@@ -420,6 +434,24 @@ def test_run_universality_ab_output_shape():
     assert report.config_echo["signal"] == "explicit"
 
 
+def _lumpy_profile(n):
+    """Off-diagonal (0, 1) variance raised above the flat 1/n."""
+    prof = np.full((n, n), 1.0 / n)
+    bump = 0.4 / n
+    prof[0, 1] = prof[1, 0] = 1.0 / n + bump
+    prof[0, 0] -= bump
+    prof[1, 1] -= bump
+    return prof
+
+
+def _diag_only_profile(n):
+    """Flat off the diagonal; one diagonal entry moved by less than the
+    row-sum tolerance."""
+    prof = np.full((n, n), 1.0 / n)
+    prof[0, 0] += 5e-9
+    return prof
+
+
 def test_universality_moment_gate():
     kw = small_ab_kwargs()
     # GOE vs GUE: different fields
@@ -427,22 +459,15 @@ def test_universality_moment_gate():
         run_universality_ab(**{**kw, "spec_b": EnsembleSpec(kind="gue", n=60, field="C")})
     # non-flat profile: off-diagonal moments differ from GOE's 1/n
     n = 60
-    prof = np.full((n, n), 1.0 / n)
-    bump = 0.4 / n
-    prof[0, 1] = prof[1, 0] = 1.0 / n + bump
-    prof[0, 0] -= bump
-    prof[1, 1] -= bump
     lumpy = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
-                         variance_profile=prof)
+                         variance_profile=_lumpy_profile(n))
     with pytest.raises(ValidationError, match="not matched"):
         run_universality_ab(**{**kw, "spec_b": lumpy})
     # the diagonal is exempt: a profile that differs from GOE's only there
     # (by less than the row-sum tolerance) is matched
-    diag_only = np.full((n, n), 1.0 / n)
-    diag_only[0, 0] += 5e-9
     check_moment_match(kw["spec_a"], EnsembleSpec(kind="generalized-wigner", n=n,
                                                   entry_law="gaussian",
-                                                  variance_profile=diag_only))
+                                                  variance_profile=_diag_only_profile(n)))
     # GUE vs complex flat wigner agree off the diagonal
     ckw = small_ab_kwargs()
     ckw["spec_a"] = EnsembleSpec(kind="gue", n=60, field="C")
@@ -450,6 +475,61 @@ def test_universality_moment_gate():
                                  entry_law="gaussian", field="C")
     ckw["v"] = _signal_vector("haar", 60, "C", stream(0, "signal"))
     run_universality_ab(**ckw)
+
+
+def _reference_gate(spec_a, spec_b):
+    """The gate as it read per-part second moments (re2, im2): None when
+    matched, "field" on a field mismatch, else the worst deviation."""
+    def parts(spec):
+        n = spec.n
+        if spec.kind == "goe":
+            return 1.0 / n, 0.0, "R"
+        if spec.kind == "gue":
+            return 0.5 / n, 0.5 / n, "C"
+        var = 1.0 / n if spec.variance_profile is None else spec.variance_profile
+        if spec.field == "R":
+            return var, 0.0, "R"
+        return var / 2.0, var / 2.0, "C"
+
+    (re_a, im_a, field_a), (re_b, im_b, field_b) = parts(spec_a), parts(spec_b)
+    if field_a != field_b:
+        return "field"
+    for a, b in ((re_a, re_b), (im_a, im_b)):
+        diff = np.abs(a - b)
+        if np.ndim(diff):
+            np.fill_diagonal(diff, 0.0)
+        worst = float(np.max(diff))
+        if worst > MOMENT_MATCH_TOL:
+            return worst
+    return None
+
+
+def test_moment_gate_matches_per_part_reference():
+    n = 60
+    specs = [EnsembleSpec(kind="goe", n=n), EnsembleSpec(kind="gue", n=n, field="C")]
+    for field in ("R", "C"):
+        specs += [EnsembleSpec(kind="generalized-wigner", n=n, entry_law=law, field=field)
+                  for law in ENTRY_LAWS]
+        specs += [EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                               field=field, variance_profile=prof)
+                  for prof in (np.full((n, n), 1.0 / n), _lumpy_profile(n),
+                               _diag_only_profile(n))]
+    refused = 0
+    for a in specs:
+        for b in specs:
+            expected = _reference_gate(a, b)
+            if expected is None:
+                check_moment_match(a, b)
+                continue
+            refused += 1
+            with pytest.raises(ValidationError) as info:
+                check_moment_match(a, b)
+            if expected == "field":
+                assert "must share the same field" in str(info.value)
+            else:
+                assert "not matched" in str(info.value)
+                assert f"max deviation {expected:.3e}" in str(info.value)
+    assert 0 < refused < len(specs) ** 2
 
 
 def test_universality_input_validation():
@@ -468,18 +548,11 @@ def test_universality_input_validation():
         run_universality_ab(**{**kw, "pairs": [(3, 3)]})
     with pytest.raises(ValidationError, match="invalid index pair"):
         run_universality_ab(**{**kw, "pairs": [(0, 60)]})
-    with pytest.raises(ValidationError, match="unknown statistic"):
-        run_universality_ab(**{**kw, "phi": "exp"})
+    for phi in ("exp", np.cos):  # phi names a statistic; a callable is not one
+        with pytest.raises(ValidationError, match="unknown statistic"):
+            run_universality_ab(**{**kw, "phi": phi})
     with pytest.raises(ValidationError, match="real signal"):
         run_universality_ab(**{**kw, "v": kw["v"].astype(complex) * 1.0j})
-
-
-def test_universality_custom_phi_callable():
-    kw = small_ab_kwargs(trials=2)
-    report = run_universality_ab(**{**kw, "phi": np.cos})
-    assert report.config_echo["phi"] == "cos"
-    for p in report.pairs:
-        assert -1.0 <= p.mean_a <= 1.0
 
 
 def test_universality_worker_invariance():
@@ -699,6 +772,30 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert main(["plot", str(not_report), "--out", str(svg)]) == 2
         assert f"non-finite number {bad}" in capsys.readouterr().err
         assert not svg.exists()
+    # so is a report that disagrees with itself: a truncated integer, a record
+    # off the grid, summaries missing, off the grid or of another MC size
+    data = json.loads(text)
+    mangles = (("config", "n", 60.7), ("config", "trials", 2.9),
+               ("records", "theta_index", 9), ("records", "theta", 7.5),
+               ("summaries", None, 1),
+               ("summaries", "theta", 7.5), ("summaries", "mc_samples", 10))
+    for part, key, value in mangles:
+        bad_data = json.loads(text)
+        if part == "config":
+            bad_data["config"][key] = value
+        elif key is None:
+            bad_data["summaries"] = bad_data["summaries"][:value]
+        else:
+            bad_data[part][0][key] = value
+        not_report.write_text(json.dumps(bad_data))
+        svg = tmp_path / "inconsistent.svg"
+        assert main(["plot", str(not_report), "--out", str(svg)]) == 2
+        assert "not a sweep report" in capsys.readouterr().err
+        assert not svg.exists()
+    # an integral float is an integer
+    data["config"]["n"] = 60.0
+    not_report.write_text(json.dumps(data))
+    assert main(["plot", str(not_report), "--out", str(tmp_path / "n60.svg")]) == 0
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
