@@ -202,14 +202,12 @@ class SpikeConfig:
 
 
 def build_spiked(spike: SpikeConfig, noise: HermitianMatrix) -> HermitianMatrix:
-    """theta * v v* + W, exactly Hermitian; real dtype when both parts are real."""
+    """theta * v v* + W, exactly Hermitian; real dtype when both parts are real
+    (numpy's type promotion of the sum decides)."""
     v = spike.v
     if v.size != noise.n:
         raise ValidationError(f"spike dimension {v.size} does not match noise dimension {noise.n}")
-    signal = symmetrize(spike.theta * np.outer(v, np.conj(v)))
-    if noise.is_real and not np.iscomplexobj(signal):
-        return HermitianMatrix(signal + noise.entries)
-    return HermitianMatrix(signal.astype(np.complex128) + noise.entries.astype(np.complex128))
+    return HermitianMatrix(symmetrize(spike.theta * np.outer(v, np.conj(v))) + noise.entries)
 
 
 def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:

@@ -1,13 +1,15 @@
 """Experiment configuration objects and the flat key-value config file format.
 
 A config file is plain text, one ``key = value`` per line, ``#`` starts a
-comment line, and the keys must exactly match the config fields; unknown or
-duplicate keys are errors so typos cannot silently change an experiment.
+comment line.  Each config has one key table naming the fields a file may set
+and the parser of each; a key is required unless its field has a default.
+Unknown or duplicate keys are errors so typos cannot silently change an
+experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,16 +44,6 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def _take(pairs: dict[str, str], known: dict, path: str) -> dict[str, str]:
-    unknown = sorted(set(pairs) - set(known))
-    if unknown:
-        raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    missing = sorted(k for k, required in known.items() if required and k not in pairs)
-    if missing:
-        raise ValidationError(f"{path}: missing required keys: {', '.join(missing)}")
-    return pairs
-
-
 def _parse_int(text: str, key: str) -> int:
     try:
         return int(text)
@@ -75,12 +67,47 @@ def echoed_int(data: dict, key: str) -> int:
     return int(value)
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_grid(text: str, key: str) -> tuple[float, ...]:
     items = [p for chunk in text.split(",") for p in chunk.split()]
-    return tuple(_parse_float(p, "theta_grid") for p in items)
+    return tuple(_parse_float(p, key) for p in items)
 
 
-@dataclass(frozen=True)
+def _parse_text(text: str, key: str) -> str:
+    return text
+
+
+def _parse_group(text: str, key: str) -> Group:
+    return parse_group(text)
+
+
+def _read_config(path: str, cls, parsers: dict) -> dict:
+    """The values the config file at ``path`` sets, each read by its key's
+    parser, in key-table order; a key is required unless its field of ``cls``
+    has a default."""
+    pairs = _parse_kv_file(path)
+    unknown = sorted(set(pairs) - set(parsers))
+    if unknown:
+        raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    missing = sorted(set(parsers) - optional - set(pairs))
+    if missing:
+        raise ValidationError(f"{path}: missing required keys: {', '.join(missing)}")
+    return {key: parse(pairs[key], key) for key, parse in parsers.items() if key in pairs}
+
+
+def _echo(config) -> dict:
+    """A config as plain data for report embedding.
+
+    The output directory is deliberately excluded: it locates artifacts but
+    is not part of the experiment identity, and reports must be
+    byte-identical when the same experiment writes elsewhere.
+    """
+    echo = asdict(config)
+    del echo["out_dir"]
+    return echo
+
+
+@dataclass(frozen=True, kw_only=True)
 class SweepConfig:
     """Full definition of a theta-sweep experiment."""
 
@@ -91,7 +118,7 @@ class SweepConfig:
     noise_model: str
     rounding: str
     loss: str
-    mc_samples: int
+    mc_samples: int = DEFAULT_SAMPLES
     master_seed: int
     out_dir: str = "."
 
@@ -124,23 +151,12 @@ class SweepConfig:
                                   f"in sweeps, got {self.loss!r}")
 
     def echo(self) -> dict:
-        """Config as plain data for report embedding.
-
-        The output directory is deliberately excluded: it locates artifacts but
-        is not part of the experiment identity, and reports must be
-        byte-identical when the same experiment writes elsewhere.
-        """
-        return {
-            "group": str(self.group),
-            "n": self.n,
-            "theta_grid": list(self.theta_grid),
-            "trials": self.trials,
-            "noise_model": self.noise_model,
-            "round": self.rounding,
-            "loss": self.loss,
-            "mc_samples": self.mc_samples,
-            "master_seed": self.master_seed,
-        }
+        """Config as plain data for report embedding (see ``_echo``): the
+        group as text, the grid as a list, and ``rounding`` under ``round``."""
+        echo = _echo(self)
+        echo.update(group=str(self.group), theta_grid=list(self.theta_grid),
+                    round=echo.pop("rounding"))
+        return echo
 
     @classmethod
     def from_echo(cls, data: dict, out_dir: str = ".") -> "SweepConfig":
@@ -152,28 +168,18 @@ class SweepConfig:
                    master_seed=echoed_int(data, "master_seed"), out_dir=out_dir)
 
 
+# the group fixes the remaining fields, rounding and loss
 SWEEP_KEYS = {
-    "group": True, "n": True, "theta_grid": True, "trials": True,
-    "noise_model": True, "mc_samples": False,
-    "master_seed": True, "out_dir": False,
+    "group": _parse_group, "n": _parse_int, "theta_grid": _parse_grid,
+    "trials": _parse_int, "noise_model": _parse_text, "mc_samples": _parse_int,
+    "master_seed": _parse_int, "out_dir": _parse_text,
 }
 
 
 def parse_sweep_config(path: str) -> SweepConfig:
-    pairs = _take(_parse_kv_file(path), SWEEP_KEYS, path)
-    group = parse_group(pairs["group"])
-    return SweepConfig(
-        group=group,
-        n=_parse_int(pairs["n"], "n"),
-        theta_grid=_parse_grid(pairs["theta_grid"]),
-        trials=_parse_int(pairs["trials"], "trials"),
-        noise_model=pairs["noise_model"],
-        rounding=rounding_rule(group),
-        loss=default_loss(group),
-        mc_samples=_parse_int(pairs.get("mc_samples", str(DEFAULT_SAMPLES)), "mc_samples"),
-        master_seed=_parse_int(pairs["master_seed"], "master_seed"),
-        out_dir=pairs.get("out_dir", "."),
-    )
+    values = _read_config(path, SweepConfig, SWEEP_KEYS)
+    group = values["group"]
+    return SweepConfig(**values, rounding=rounding_rule(group), loss=default_loss(group))
 
 
 def parse_ensemble(text: str, n: int) -> EnsembleSpec:
@@ -196,15 +202,15 @@ def parse_ensemble(text: str, n: int) -> EnsembleSpec:
 
 
 def ensemble_text(spec: EnsembleSpec) -> str:
-    """Inverse of ``parse_ensemble``; a variance profile has no text form and
-    is left out."""
-    if spec.kind == "generalized-wigner":
-        tag = f"wigner:{spec.entry_law}"
-        return tag + ":c" if spec.field == "C" else tag
-    return spec.kind
+    """Inverse of ``parse_ensemble``.  A variance profile has no text form: a
+    spec with one is marked ``+profile``, which ``parse_ensemble`` refuses."""
+    if spec.kind != "generalized-wigner":
+        return spec.kind
+    tag = f"wigner:{spec.entry_law}" + (":c" if spec.field == "C" else "")
+    return tag if spec.variance_profile is None else tag + "+profile"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class UniversalityConfig:
     """Definition of an A/B comparison between two moment-matched ensembles."""
 
@@ -212,8 +218,8 @@ class UniversalityConfig:
     ensemble_b: str
     n: int
     theta: float
-    phi: str
-    n_pairs: int
+    phi: str = "tanh"
+    n_pairs: int = 10
     trials: int
     master_seed: int
     signal: str = "haar"
@@ -237,37 +243,16 @@ class UniversalityConfig:
         parse_ensemble(self.ensemble_b, self.n)
 
     def echo(self) -> dict:
-        return {
-            "ensemble_a": self.ensemble_a,
-            "ensemble_b": self.ensemble_b,
-            "n": self.n,
-            "theta": self.theta,
-            "phi": self.phi,
-            "n_pairs": self.n_pairs,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "signal": self.signal,
-        }
+        return _echo(self)
 
 
 UNIVERSALITY_KEYS = {
-    "ensemble_a": True, "ensemble_b": True, "n": True, "theta": True,
-    "phi": False, "n_pairs": False, "trials": True, "master_seed": True,
-    "signal": False, "out_dir": False,
+    "ensemble_a": _parse_text, "ensemble_b": _parse_text, "n": _parse_int,
+    "theta": _parse_float, "phi": _parse_text, "n_pairs": _parse_int,
+    "trials": _parse_int, "master_seed": _parse_int, "signal": _parse_text,
+    "out_dir": _parse_text,
 }
 
 
 def parse_universality_config(path: str) -> UniversalityConfig:
-    pairs = _take(_parse_kv_file(path), UNIVERSALITY_KEYS, path)
-    return UniversalityConfig(
-        ensemble_a=pairs["ensemble_a"],
-        ensemble_b=pairs["ensemble_b"],
-        n=_parse_int(pairs["n"], "n"),
-        theta=_parse_float(pairs["theta"], "theta"),
-        phi=pairs.get("phi", "tanh"),
-        n_pairs=_parse_int(pairs.get("n_pairs", "10"), "n_pairs"),
-        trials=_parse_int(pairs["trials"], "trials"),
-        master_seed=_parse_int(pairs["master_seed"], "master_seed"),
-        signal=pairs.get("signal", "haar"),
-        out_dir=pairs.get("out_dir", "."),
-    )
+    return UniversalityConfig(**_read_config(path, UniversalityConfig, UNIVERSALITY_KEYS))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -82,51 +82,53 @@ def write_sweep_csv(report: SweepReport, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _sweep_payload(report: SweepReport, include_timing: bool) -> dict:
+def _write_json(report, payload: dict, path: str, include_timing: bool) -> None:
+    """Write ``payload`` and the report's meta entry as sorted, indented JSON;
+    a non-finite float raises ValueError before the file is opened, as in the
+    CSV writers.  The wall time is written only when asked for."""
     meta = {"package": "spikesim", "version": report.version}
     if include_timing and report.wall_time_s is not None:
         meta["wall_time_s"] = report.wall_time_s
-    return {
-        "config": report.config.echo(),
-        "records": [
-            {"theta_index": r.theta_index, "theta": r.theta, "trial": r.trial,
-             "seed": r.seed, "empirical_loss": r.empirical_loss}
-            for r in report.records
-        ],
-        "summaries": [
-            {"theta": s.theta, "empirical_mean": s.empirical_mean,
-             "empirical_std": s.empirical_std, "prediction_mean": s.prediction_mean,
-             "prediction_stderr": s.prediction_stderr, "mc_samples": s.mc_samples}
-            for s in report.summaries
-        ],
-        "meta": meta,
-    }
-
-
-def _write_json(payload: dict, path: str) -> None:
-    """Write sorted, indented JSON; a non-finite float raises ValueError before
-    the file is opened, as in the CSV writers."""
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps({**payload, "meta": meta}, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 
 
 def write_sweep_json(report: SweepReport, path: str, include_timing: bool = False) -> None:
-    _write_json(_sweep_payload(report, include_timing), path)
+    _write_json(report, {"config": report.config.echo(),
+                         "records": [asdict(r) for r in report.records],
+                         "summaries": [asdict(s) for s in report.summaries]},
+                path, include_timing)
 
 
 def _check_sweep_report(config: SweepConfig, records, summaries) -> None:
     """A report must agree with itself: each record's theta is the grid's at
-    its theta_index, and each grid theta has one summary, in grid order, of the
-    config's Monte Carlo size."""
+    its theta_index, each (theta, trial) cell of the config has one record,
+    and each grid theta has one summary, in grid order, of the config's Monte
+    Carlo size."""
     grid = config.theta_grid
     for r in records:
         if not (0 <= r.theta_index < len(grid) and r.theta == grid[r.theta_index]):
             raise ValidationError(f"record theta_index {r.theta_index}, theta {r.theta!r} "
                                   f"is not on the theta grid {list(grid)}")
+    cells = [(i, t) for i in range(len(grid)) for t in range(config.trials)]
+    if sorted((r.theta_index, r.trial) for r in records) != cells:
+        raise ValidationError(f"records must give each trial 0..{config.trials - 1} "
+                              "of each grid theta exactly once")
     if [(s.theta, s.mc_samples) for s in summaries] != [(t, config.mc_samples) for t in grid]:
         raise ValidationError(f"summaries must give each theta of {list(grid)} in order, "
                               f"with mc_samples {config.mc_samples}")
+
+
+# a report row field of each declared type read back from JSON; an integer
+# goes through echoed_int, so 120.0 is 120 but 120.7 is refused
+_FIELD_READERS = {"int": echoed_int,
+                  "float": lambda row, key: float(row[key]),
+                  "str": lambda row, key: str(row[key])}
+
+
+def _read_row(cls, row: dict):
+    return cls(**{f.name: _FIELD_READERS[f.type](row, f.name) for f in fields(cls)})
 
 
 def load_sweep_report(path: str) -> SweepReport:
@@ -143,18 +145,8 @@ def load_sweep_report(path: str) -> SweepReport:
         data = json.load(fh, parse_float=finite, parse_constant=finite)
     try:
         config = SweepConfig.from_echo(data["config"])
-        records = tuple(
-            TrialRecord(theta_index=echoed_int(r, "theta_index"), theta=float(r["theta"]),
-                        trial=echoed_int(r, "trial"), seed=str(r["seed"]),
-                        empirical_loss=float(r["empirical_loss"]))
-            for r in data["records"])
-        summaries = tuple(
-            ThetaSummary(theta=float(s["theta"]), empirical_mean=float(s["empirical_mean"]),
-                         empirical_std=float(s["empirical_std"]),
-                         prediction_mean=float(s["prediction_mean"]),
-                         prediction_stderr=float(s["prediction_stderr"]),
-                         mc_samples=echoed_int(s, "mc_samples"))
-            for s in data["summaries"])
+        records = tuple(_read_row(TrialRecord, r) for r in data["records"])
+        summaries = tuple(_read_row(ThetaSummary, s) for s in data["summaries"])
         _check_sweep_report(config, records, summaries)
         meta = data.get("meta", {})
         version = str(meta.get("version", __version__))
@@ -208,31 +200,22 @@ UNIVERSALITY_CSV_COLUMNS = ("i", "j", "mean_a", "stderr_a", "mean_b", "stderr_b"
                             "abs_diff", "combined_stderr")
 
 
+def _pair_row(p: PairComparison) -> dict:
+    return {**asdict(p), "abs_diff": p.abs_diff, "combined_stderr": p.combined_stderr}
+
+
 def write_universality_csv(report: UniversalityReport, path: str) -> None:
     lines = [",".join(UNIVERSALITY_CSV_COLUMNS)]
     for p in report.pairs:
-        lines.append(",".join([
-            str(p.i), str(p.j), _fmt(p.mean_a), _fmt(p.stderr_a),
-            _fmt(p.mean_b), _fmt(p.stderr_b), _fmt(p.abs_diff),
-            _fmt(p.combined_stderr),
-        ]))
+        row = _pair_row(p)
+        lines.append(",".join(str(row[c]) if isinstance(row[c], int) else _fmt(row[c])
+                              for c in UNIVERSALITY_CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_universality_json(report: UniversalityReport, path: str,
                             include_timing: bool = False) -> None:
-    meta = {"package": "spikesim", "version": report.version}
-    if include_timing and report.wall_time_s is not None:
-        meta["wall_time_s"] = report.wall_time_s
-    payload = {
-        "config": report.config_echo,
-        "pairs": [
-            {"i": p.i, "j": p.j, "mean_a": p.mean_a, "stderr_a": p.stderr_a,
-             "mean_b": p.mean_b, "stderr_b": p.stderr_b,
-             "abs_diff": p.abs_diff, "combined_stderr": p.combined_stderr}
-            for p in report.pairs
-        ],
-        "meta": meta,
-    }
-    _write_json(payload, path)
+    _write_json(report, {"config": report.config_echo,
+                         "pairs": [_pair_row(p) for p in report.pairs]},
+                path, include_timing)

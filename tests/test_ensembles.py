@@ -20,6 +20,7 @@ from spikesim import (
     sample_generalized_wigner,
     sample_truth_or_haar,
     stream,
+    symmetrize,
     sync_observation_matrix,
     validate_wigner_moment_profile,
 )
@@ -280,6 +281,42 @@ def test_build_spiked_dtype_paths():
     vc[0] *= 1.0j
     mixed = build_spiked(SpikeConfig(theta=1.2, v=vc), sample_goe(n, 0))
     assert mixed.entries.dtype == np.complex128
+
+
+def _old_build_spiked(spike, noise):
+    """The two-branch sum build_spiked used to write out, as the reference."""
+    signal = symmetrize(spike.theta * np.outer(spike.v, np.conj(spike.v)))
+    if noise.is_real and not np.iscomplexobj(signal):
+        return signal + noise.entries
+    return signal.astype(np.complex128) + noise.entries.astype(np.complex128)
+
+
+def _unit_vector(n, dtype, rng):
+    """A random direction in ``dtype`` that SpikeConfig accepts as unit."""
+    for _ in range(20):
+        x = rng.standard_normal(n)
+        if np.issubdtype(dtype, np.complexfloating):
+            x = x + 1j * rng.standard_normal(n)
+        v = (x / np.linalg.norm(x)).astype(dtype)
+        v = v / np.linalg.norm(v)
+        if abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+            return v
+    raise AssertionError(f"no {dtype} unit vector of length {n} drawn")
+
+
+@pytest.mark.parametrize("n", [2, 5, 50, 300])
+def test_build_spiked_matches_two_branch_reference(n):
+    # numpy's promotion of the one sum picks the dtype the branches picked,
+    # and the bits agree
+    rng = stream(21, "spiked-reference", n)
+    for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+        spike = SpikeConfig(theta=1.7, v=_unit_vector(n, dtype, rng))
+        for noise in (sample_goe(n, stream(22, n)), sample_gue(n, stream(23, n))):
+            expected = _old_build_spiked(spike, noise)
+            got = build_spiked(spike, noise).entries
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got.imag), np.signbit(expected.imag))
 
 
 def test_build_spiked_dimension_mismatch():

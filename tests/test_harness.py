@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from spikesim.harness import (
     write_universality_json,
 )
 from spikesim.harness.cli import main
-from spikesim.harness.config import ensemble_text
+from spikesim.harness.config import SWEEP_KEYS, UNIVERSALITY_KEYS, ensemble_text
 from spikesim.harness.report import (
     CSV_COLUMNS,
     PairComparison,
@@ -151,6 +152,28 @@ def test_sweep_config_echo_round_trip():
     assert "out_dir" not in echo  # location is not experiment identity
     back = SweepConfig.from_echo(echo)
     assert back == tiny_sweep_config(out_dir=".")
+    # each group's rounding and loss survive the echo, as does the noise model
+    for other in (tiny_sweep_config(group=parse_group("U(1)"), rounding="phase",
+                                    loss="one-minus-cos", noise_model="gaussian-additive"),
+                  tiny_sweep_config(group=parse_group("Z/5"), theta_grid=(1.5, 2.0, 3.0))):
+        assert SweepConfig.from_echo(json.loads(json.dumps(other.echo()))) == other
+
+
+def test_config_key_tables_are_the_fields():
+    # a sweep file sets every field but the two its group fixes
+    assert list(SWEEP_KEYS) == [f.name for f in fields(SweepConfig)
+                                if f.name not in ("rounding", "loss")]
+    assert list(UNIVERSALITY_KEYS) == [f.name for f in fields(UniversalityConfig)]
+    # a universality echo is the file keys less the output location
+    echo = UniversalityConfig(ensemble_a="goe", ensemble_b="goe", n=20, theta=2.0,
+                              trials=2, master_seed=0, out_dir="elsewhere").echo()
+    assert list(echo) == [k for k in UNIVERSALITY_KEYS if k != "out_dir"]
+
+
+def test_parse_sweep_config_defaults(tmp_path):
+    text = SWEEP_TEXT.replace("mc_samples = 2000\n", "")
+    cfg = parse_sweep_config(write_config(tmp_path, text))
+    assert (cfg.mc_samples, cfg.out_dir) == (1_000_000, ".")
 
 
 def test_sweep_config_overrides(tmp_path):
@@ -185,6 +208,24 @@ def test_ensemble_text_round_trip():
         assert parse_ensemble(ensemble_text(spec), n) == spec
     assert [ensemble_text(s) for s in specs[:4]] == [
         "goe", "gue", "wigner:gaussian", "wigner:gaussian:c"]
+
+
+def test_ensemble_text_marks_a_variance_profile():
+    # the derived echo of a profiled arm must not read as the flat ensemble
+    n = 60
+    kw = small_ab_kwargs(n=n)
+    profiled = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                            variance_profile=_diag_only_profile(n))
+    report = run_universality_ab(**{**kw, "spec_b": profiled})
+    assert report.config_echo["ensemble_a"] == "goe"
+    assert report.config_echo["ensemble_b"] == "wigner:gaussian+profile"
+    complex_profiled = EnsembleSpec(kind="generalized-wigner", n=n, entry_law="gaussian",
+                                    field="C", variance_profile=_diag_only_profile(n))
+    assert ensemble_text(complex_profiled) == "wigner:gaussian:c+profile"
+    # the text names no profile, so it cannot be read back as an input
+    for spec in (profiled, complex_profiled):
+        with pytest.raises(ValidationError):
+            parse_ensemble(ensemble_text(spec), n)
 
 
 UNIV_TEXT = """\
@@ -773,18 +814,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert f"non-finite number {bad}" in capsys.readouterr().err
         assert not svg.exists()
     # so is a report that disagrees with itself: a truncated integer, a record
-    # off the grid, summaries missing, off the grid or of another MC size
+    # off the grid, a trial out of range, records or summaries missing, a record
+    # given twice, summaries off the grid or of another MC size
     data = json.loads(text)
     mangles = (("config", "n", 60.7), ("config", "trials", 2.9),
                ("records", "theta_index", 9), ("records", "theta", 7.5),
+               ("records", "trial", 7), ("records", None, 3), ("records", None, 7),
                ("summaries", None, 1),
                ("summaries", "theta", 7.5), ("summaries", "mc_samples", 10))
     for part, key, value in mangles:
         bad_data = json.loads(text)
         if part == "config":
             bad_data["config"][key] = value
-        elif key is None:
-            bad_data["summaries"] = bad_data["summaries"][:value]
+        elif key is None:  # keep the first `value` rows, repeating the list
+            bad_data[part] = (bad_data[part] * 2)[:value]
         else:
             bad_data[part][0][key] = value
         not_report.write_text(json.dumps(bad_data))
