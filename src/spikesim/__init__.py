@@ -15,7 +15,7 @@ from .matrices import HermitianMatrix, symmetrize
 from .ensembles import (EnsembleSpec, SpikeConfig, build_spiked, is_group_hermitian,
                         sample_ensemble, sample_generalized_wigner,
                         sample_goe, sample_gue, sample_truth_or_haar,
-                        sync_observation_matrix, validate_wigner_moment_profile)
+                        sync_observation_matrix)
 from .spectral import (SpectralEstimate, eigvec_via_resolvent, fix_phase,
                        local_law_residual, overlap_sq, resolvent_solve, secular_root,
                        top_eigenpair)
@@ -37,7 +37,6 @@ __all__ = [
     "EnsembleSpec", "sample_goe", "sample_gue",
     "sample_generalized_wigner", "sample_ensemble", "SpikeConfig", "build_spiked",
     "sample_truth_or_haar", "is_group_hermitian", "sync_observation_matrix",
-    "validate_wigner_moment_profile",
     "SpectralEstimate", "top_eigenpair", "fix_phase", "overlap_sq",
     "resolvent_solve", "secular_root", "eigvec_via_resolvent", "local_law_residual",
     "PredictionEstimate", "predict_sync_loss", "predict_entrywise",

@@ -1,4 +1,4 @@
-"""Seeded samplers for the noise-matrix laws and moment validators.
+"""Seeded samplers for the noise-matrix laws and the sync observation model.
 
 All samplers are pure functions of (spec, seed): a seed may be an integer
 (hashed into a named Philox stream, see ``rng``) or an explicit Generator.
@@ -26,9 +26,6 @@ ROW_SUM_TOL = 1e-8
 # circle angles composed with their mirrored inverse must land this close to
 # the identity; inverse-of-inverse is not bit-exact in floats
 CIRCLE_HERMITIAN_TOL = 1e-9
-
-EPS_W = 0.5
-C_W = 8.0
 
 # a given variance profile must keep n*sigma^2_ij within [1/GAMMA_W, GAMMA_W]
 GAMMA_W = 10.0
@@ -281,89 +278,3 @@ def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
     if real_field(group):
         return HermitianMatrix(c.real.copy())
     return HermitianMatrix(symmetrize(c))
-
-
-@dataclass(frozen=True)
-class MomentCheck:
-    name: str
-    observed: float
-    target: float
-    allowance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class MomentProfileReport:
-    field: str
-    n: int
-    n_samples: int
-    checks: tuple[MomentCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _pooled(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of the mean for a pooled sample."""
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    se = float(v.std(ddof=1) / np.sqrt(v.size)) if v.size > 1 else np.inf
-    return float(v.mean()), se
-
-
-def validate_wigner_moment_profile(samples, field: str) -> MomentProfileReport:
-    """Test that sampled noise matrices match the flat Wigner moment profile
-    up to an O(n^{-1-eps_w}) perturbation, eps_w = ``EPS_W`` = 1/2.
-
-    Pooled over all off-diagonal entries and samples: the mean must vanish,
-    and the second moments of the real/imaginary parts must equal 1/n (R case)
-    resp. 1/(2n) each with vanishing cross-moment (C case), within
-    c_w * n^{-1-eps_w} (c_w = ``C_W`` = 8) plus three pooled standard errors.  The
-    diagonal only needs E W_ii^2 <= c_w / n (its mean may be nonzero; the
-    centered sync model has a deterministic diagonal).
-    """
-    if field not in ("R", "C"):
-        raise ValidationError(f"field must be 'R' or 'C', got {field!r}")
-    mats = [s.entries if isinstance(s, HermitianMatrix) else np.asarray(s) for s in samples]
-    if not mats:
-        raise ValidationError("need at least one sample")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ValidationError("samples must share a common shape")
-    iu = np.triu_indices(n, 1)
-    off = np.concatenate([m[iu] for m in mats])
-    diag = np.concatenate([np.real(np.diag(m)) for m in mats])
-    slack = C_W * n ** (-1.0 - EPS_W)
-    checks = []
-
-    def add(name, observed, target, allowance, kind="abs"):
-        if kind == "abs":
-            ok = abs(observed - target) <= allowance
-        else:  # upper bound
-            ok = observed <= target + allowance
-        checks.append(MomentCheck(name, float(observed), float(target), float(allowance), bool(ok)))
-
-    if field == "R":
-        if any(np.iscomplexobj(m) and np.any(m.imag != 0) for m in mats):
-            raise ValidationError("R-case validation on matrices with nonzero imaginary parts")
-        off = np.real(off)
-        mean, se_mean = _pooled(off)
-        add("offdiag-mean", mean, 0.0, 3.0 * se_mean)
-        m2, se_m2 = _pooled(off ** 2)
-        add("offdiag-second-moment", m2, 1.0 / n, slack + 3.0 * se_m2)
-    else:
-        re = np.real(off)
-        im = np.imag(off)
-        mean_re, se_re = _pooled(re)
-        mean_im, se_im = _pooled(im)
-        add("offdiag-mean-re", mean_re, 0.0, 3.0 * se_re)
-        add("offdiag-mean-im", mean_im, 0.0, 3.0 * se_im)
-        re2, se_re2 = _pooled(re ** 2)
-        add("offdiag-re-second-moment", re2, 1.0 / (2.0 * n), slack + 3.0 * se_re2)
-        im2, se_im2 = _pooled(im ** 2)
-        add("offdiag-im-second-moment", im2, 1.0 / (2.0 * n), slack + 3.0 * se_im2)
-        cross, se_cross = _pooled(re * im)
-        add("offdiag-cross-moment", cross, 0.0, slack + 3.0 * se_cross)
-    d2, se_d2 = _pooled(diag ** 2)
-    add("diag-second-moment-bound", d2, C_W / n, 3.0 * se_d2, kind="upper")
-    return MomentProfileReport(field=field, n=n, n_samples=len(mats), checks=tuple(checks))

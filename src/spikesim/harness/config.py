@@ -67,6 +67,14 @@ def echoed_int(data: dict, key: str) -> int:
     return int(value)
 
 
+def echoed(value, key: str, kind: type):
+    """A float or str of an echoed config or a loaded report, read by its JSON
+    type: a float is a JSON number, neither a bool nor a numeric string."""
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise ValidationError(f"{key} must be a {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _parse_grid(text: str, key: str) -> tuple[float, ...]:
     items = [p for chunk in text.split(",") for p in chunk.split()]
     return tuple(_parse_float(p, key) for p in items)
@@ -161,7 +169,8 @@ class SweepConfig:
     @classmethod
     def from_echo(cls, data: dict, out_dir: str = ".") -> "SweepConfig":
         return cls(group=parse_group(data["group"]), n=echoed_int(data, "n"),
-                   theta_grid=tuple(float(t) for t in data["theta_grid"]),
+                   theta_grid=tuple(echoed(t, "theta_grid item", float)
+                                    for t in data["theta_grid"]),
                    trials=echoed_int(data, "trials"), noise_model=data["noise_model"],
                    rounding=data["round"], loss=data["loss"],
                    mc_samples=echoed_int(data, "mc_samples"),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import __version__
 from ..errors import ValidationError
-from .config import SweepConfig, echoed_int
+from .config import SweepConfig, echoed, echoed_int
 
 CSV_COLUMNS = ("group", "n", "noise_model", "theta", "trial", "seed",
                "empirical_loss", "prediction_mean", "prediction_stderr")
@@ -120,11 +120,12 @@ def _check_sweep_report(config: SweepConfig, records, summaries) -> None:
                               f"with mc_samples {config.mc_samples}")
 
 
-# a report row field of each declared type read back from JSON; an integer
-# goes through echoed_int, so 120.0 is 120 but 120.7 is refused
+# a report row field is read back by its declared type, which its JSON type
+# must match: an integer goes through echoed_int, so 120.0 is 120 but 120.7 is
+# refused; neither "1.5" nor true is a float, and 12 is not a str
 _FIELD_READERS = {"int": echoed_int,
-                  "float": lambda row, key: float(row[key]),
-                  "str": lambda row, key: str(row[key])}
+                  "float": lambda row, key: echoed(row[key], key, float),
+                  "str": lambda row, key: echoed(row[key], key, str)}
 
 
 def _read_row(cls, row: dict):
@@ -149,8 +150,10 @@ def load_sweep_report(path: str) -> SweepReport:
         summaries = tuple(_read_row(ThetaSummary, s) for s in data["summaries"])
         _check_sweep_report(config, records, summaries)
         meta = data.get("meta", {})
-        version = str(meta.get("version", __version__))
+        version = echoed(meta.get("version", __version__), "version", str)
         wall_time_s = meta.get("wall_time_s")
+        if wall_time_s is not None:
+            wall_time_s = echoed(wall_time_s, "wall_time_s", float)
     except KeyError as exc:
         raise ValidationError(
             f"{path}: not a sweep report, missing key {exc.args[0]!r}") from None

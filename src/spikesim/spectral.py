@@ -110,18 +110,18 @@ def _entries(w) -> np.ndarray:
 
 
 def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
-    """Solve (zI - W) x = b by direct factorization, verifying the residual.
+    """Solve (zI - W) x = b for a vector b by LU, verifying the residual.
 
     Raises SingularShiftError when the relative residual exceeds 1e-10, which
     is how shifts too close to spec(W) are detected, and ValueError for a
-    non-finite shift.  A zero b returns zeros of the dtype a nonzero b of the
-    same dtype would give.
+    non-finite shift or a b of any shape but (n,).  A zero b returns zeros of
+    the dtype a nonzero b of the same dtype would give.
     """
     wm = _entries(w)
     b = np.asarray(b)
     n = wm.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"rhs length {b.shape[0]} does not match dimension {n}")
+    if b.shape != (n,):
+        raise ValueError(f"rhs shape {b.shape} is not the vector shape ({n},)")
     if not np.isfinite(complex(z)):
         raise ValueError(f"shift z = {z} must be finite")
     complex_shift = np.iscomplexobj(wm) or complex(z).imag != 0.0
@@ -137,12 +137,8 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
                               check_finite=False)
     # a x - b on the BLAS that did the LU.  a is C-ordered, so BLAS gets a.T,
     # which it reads in place, with the transpose flag set.
-    if x.ndim == 1:
-        gemv = scipy.linalg.get_blas_funcs("gemv", (a, x))
-        r = gemv(1.0, a.T, x, beta=-1.0, y=b, trans=1)
-    else:
-        gemm = scipy.linalg.get_blas_funcs("gemm", (a, x))
-        r = gemm(1.0, a.T, x, beta=-1.0, c=b, trans_a=1)
+    gemv = scipy.linalg.get_blas_funcs("gemv", (a, x))
+    r = gemv(1.0, a.T, x, beta=-1.0, y=b, trans=1)
     rel = np.linalg.norm(r) / norm_b
     if not np.isfinite(rel) or rel > SOLVE_RTOL:
         raise SingularShiftError(

@@ -22,7 +22,6 @@ from spikesim import (
     stream,
     symmetrize,
     sync_observation_matrix,
-    validate_wigner_moment_profile,
 )
 from spikesim.ensembles import ENTRY_LAWS, GAMMA_W, circle_distance
 from spikesim.harness.universality import check_moment_match
@@ -418,64 +417,6 @@ def test_circle_sync_observation_hermitian():
     h = sync_observation_matrix(U1, y)
     assert np.array_equal(h.entries, h.entries.conj().T)
     assert np.allclose(np.abs(h.entries), 1.0 / np.sqrt(n))
-
-
-# ----------------------------------------------------------- moment validator
-
-def test_validator_accepts_goe():
-    mats = [sample_goe(200, derive_key(17, "v", i)) for i in range(20)]
-    report = validate_wigner_moment_profile(mats, "R")
-    assert report.passed, [c for c in report.checks if not c.passed]
-    assert {c.name for c in report.checks} == {
-        "offdiag-mean", "offdiag-second-moment", "diag-second-moment-bound"}
-
-
-def test_validator_accepts_gue():
-    mats = [sample_gue(200, derive_key(18, "v", i)) for i in range(20)]
-    report = validate_wigner_moment_profile(mats, "C")
-    assert report.passed, [c for c in report.checks if not c.passed]
-    assert {c.name for c in report.checks} == {
-        "offdiag-mean-re", "offdiag-mean-im", "offdiag-re-second-moment",
-        "offdiag-im-second-moment", "offdiag-cross-moment",
-        "diag-second-moment-bound"}
-
-
-def test_validator_accepts_centered_sync_model():
-    # after removing the rank-one mean, the observation matrix is weakly
-    # Wigner: its entry variance is 1/n - p^2/n = 1/n + O(n^-2)
-    n = 400
-    theta = 2.0
-    p = theta / np.sqrt(n)
-    mats = []
-    for i in range(10):
-        x = haar_sample(Z2, n, stream(19, "x", i))
-        y = sample_truth_or_haar(Z2, x, p, stream(19, "y", i))
-        h = sync_observation_matrix(Z2, y).entries
-        mean = p * character(Z2, pairwise_matrix(Z2, x)).real / np.sqrt(n)
-        np.fill_diagonal(mean, 1.0 / np.sqrt(n))
-        mats.append(h - mean)
-    report = validate_wigner_moment_profile(mats, "R")
-    assert report.passed, [c for c in report.checks if not c.passed]
-
-
-def test_validator_flags_wrong_scale():
-    mats = [HermitianMatrix(1.5 * sample_goe(200, derive_key(20, "v", i)).entries)
-            for i in range(10)]
-    report = validate_wigner_moment_profile(mats, "R")
-    assert not report.passed
-    failed = [c.name for c in report.checks if not c.passed]
-    assert "offdiag-second-moment" in failed
-
-
-def test_validator_input_validation():
-    with pytest.raises(ValidationError):
-        validate_wigner_moment_profile([], "R")
-    with pytest.raises(ValidationError):
-        validate_wigner_moment_profile([sample_goe(10, 0)], "Q")
-    with pytest.raises(ValidationError):
-        validate_wigner_moment_profile([sample_goe(10, 0), sample_goe(12, 0)], "R")
-    with pytest.raises(ValidationError):
-        validate_wigner_moment_profile([sample_gue(10, 0)], "R")  # complex in R mode
 
 
 # ---------------------------------- scalar fast paths against explicit arrays

@@ -379,9 +379,9 @@ def test_nonfinite_values_refuse_to_serialize(tmp_path):
 
 
 # Report digests of two small sweeps: a change to any byte a sweep writes
-# shows up here.  Taken with numpy 2.4 / scipy 1.17 on OpenBLAS 0.3.31
-# (x86-64); a different LAPACK build may move the last bits of the
-# eigenvectors and with them these digests.
+# shows up here.  Taken with numpy 2.4 / scipy 1.17 on scipy's OpenBLAS 0.3.30
+# (SkylakeX kernel, x86-64); a different LAPACK build may move the last bits
+# of the eigenvectors and with them these digests.
 CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                            "configs")
 
@@ -815,17 +815,24 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert not svg.exists()
     # so is a report that disagrees with itself: a truncated integer, a record
     # off the grid, a trial out of range, records or summaries missing, a record
-    # given twice, summaries off the grid or of another MC size
+    # given twice, summaries off the grid or of another MC size; and a field of
+    # the wrong JSON type: a float given as a string or a bool, a seed or the
+    # version as a number
     data = json.loads(text)
     mangles = (("config", "n", 60.7), ("config", "trials", 2.9),
                ("records", "theta_index", 9), ("records", "theta", 7.5),
                ("records", "trial", 7), ("records", None, 3), ("records", None, 7),
                ("summaries", None, 1),
-               ("summaries", "theta", 7.5), ("summaries", "mc_samples", 10))
+               ("summaries", "theta", 7.5), ("summaries", "mc_samples", 10),
+               ("records", "theta", repr(data["records"][0]["theta"])),
+               ("records", "theta", "2.0x"), ("records", "empirical_loss", True),
+               ("records", "seed", int(data["records"][0]["seed"])),
+               ("config", "theta_grid", [repr(t) for t in data["config"]["theta_grid"]]),
+               ("meta", "version", 1), ("meta", "wall_time_s", "fast"))
     for part, key, value in mangles:
         bad_data = json.loads(text)
-        if part == "config":
-            bad_data["config"][key] = value
+        if part in ("config", "meta"):
+            bad_data[part][key] = value
         elif key is None:  # keep the first `value` rows, repeating the list
             bad_data[part] = (bad_data[part] * 2)[:value]
         else:

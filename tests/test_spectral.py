@@ -179,20 +179,19 @@ def test_resolvent_diagonal():
     assert np.allclose(x, [1.0, 1.0 / 3.0], atol=1e-14)
 
 
-def test_resolvent_matrix_rhs_matches_columns():
-    w = sample_goe(20, 5).entries
-    rng = stream(5, "rhs")
-    b = rng.standard_normal((20, 4))
-    xmat = resolvent_solve(w, 2.7, b)
-    for k in range(4):
-        assert np.allclose(xmat[:, k], resolvent_solve(w, 2.7, b[:, k]), atol=1e-12)
-
-
 def test_resolvent_zero_rhs_and_shape_check():
     w = sample_goe(8, 0).entries
     assert np.all(resolvent_solve(w, 3.0, np.zeros(8)) == 0.0)
     with pytest.raises(ValueError):
         resolvent_solve(w, 3.0, np.ones(9))
+
+
+@pytest.mark.parametrize("shape", [(8, 1), (8, 3), ()], ids=["column", "matrix", "scalar"])
+def test_resolvent_refuses_non_vector_rhs(shape):
+    w = sample_goe(8, 0).entries
+    for b in (np.ones(shape), np.zeros(shape)):
+        with pytest.raises(ValueError, match="is not the vector shape"):
+            resolvent_solve(w, 3.0, b)
 
 
 @pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
@@ -218,16 +217,14 @@ def _direct_lu_solve(w, z, b):
 
 @pytest.mark.parametrize("field", ["R", "C"])
 @pytest.mark.parametrize("z", [2.7, 2.7 + 0.4j])
-@pytest.mark.parametrize("rhs", ["real-vector", "complex-vector", "real-matrix",
-                                 "complex-matrix"])
+@pytest.mark.parametrize("rhs", ["real-vector", "complex-vector"])
 def test_resolvent_solve_matches_direct_lu_bits(field, z, rhs):
     n = 60
     w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
     rng = stream(21, "rhs")
-    shape = (n, 3) if rhs.endswith("matrix") else (n,)
-    b = rng.standard_normal(shape)
+    b = rng.standard_normal(n)
     if rhs.startswith("complex"):
-        b = b + 1j * rng.standard_normal(shape)
+        b = b + 1j * rng.standard_normal(n)
     b_before = b.copy()
     x = resolvent_solve(w, z, b)
     ref = _direct_lu_solve(w, z, b)
@@ -241,9 +238,8 @@ def test_resolvent_rejects_shift_in_spectrum():
     for sampler in (sample_goe, sample_gue):
         w = sampler(n, 2)
         lam_top = float(np.linalg.eigvalsh(w.entries)[-1])
-        for b in (unit(np.ones(n)), stream(2, "rhs").standard_normal((n, 3))):
-            with pytest.raises(SingularShiftError, match="too close to the spectrum"):
-                resolvent_solve(w, lam_top, b)
+        with pytest.raises(SingularShiftError, match="too close to the spectrum"):
+            resolvent_solve(w, lam_top, unit(np.ones(n)))
 
 
 @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(3.0, np.nan),
