@@ -1,10 +1,10 @@
 """Experiment configuration objects and the flat key-value config file format.
 
 A config file is plain text, one ``key = value`` per line, ``#`` starts a
-comment line.  Each config has one key table naming the fields a file may set
-and the parser of each; a key is required unless its field has a default.
-Unknown or duplicate keys are errors so typos cannot silently change an
-experiment.
+comment line.  Each config dataclass is its own file schema: a key names a
+field, is read by the field's declared type (as is a config echoed in JSON)
+and is required unless the field has a default.  Unknown or duplicate keys are
+errors so typos cannot silently change an experiment.
 """
 
 from __future__ import annotations
@@ -58,18 +58,17 @@ def _parse_float(text: str, key: str) -> float:
         raise ValidationError(f"key {key!r}: expected a number, got {text!r}") from None
 
 
-def echoed_int(data: dict, key: str) -> int:
+def echoed_int(value, key: str) -> int:
     """An integer field of an echoed config or a loaded report: JSON may spell
     120 as 120.0, but 120.7 is refused, not truncated."""
-    value = data[key]
     if type(value) not in (int, float) or value != int(value):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def echoed(value, key: str, kind: type):
-    """A float or str of an echoed config or a loaded report, read by its JSON
-    type: a float is a JSON number, neither a bool nor a numeric string."""
+    """A float, str or list of an echoed config or a loaded report, read by its
+    JSON type: a float is a JSON number, neither a bool nor a numeric string."""
     if type(value) not in ((int, float) if kind is float else (kind,)):
         raise ValidationError(f"{key} must be a {kind.__name__}, got {value!r}")
     return kind(value)
@@ -80,27 +79,47 @@ def _parse_grid(text: str, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(p, key) for p in items)
 
 
-def _parse_text(text: str, key: str) -> str:
-    return text
+# each declared field type: (its config-file text reader, its JSON reader);
+# a JSON value must have the field's JSON type, so neither "1.5" nor true is a
+# float, 12 is not a str and 120.7 is not an int
+_READERS = {
+    "int": (_parse_int, echoed_int),
+    "float": (_parse_float, lambda value, key: echoed(value, key, float)),
+    "str": (lambda text, key: text, lambda value, key: echoed(value, key, str)),
+    "Group": (lambda text, key: parse_group(text),
+              lambda value, key: parse_group(echoed(value, key, str))),
+    "tuple[float, ...]": (_parse_grid, lambda value, key: tuple(
+        echoed(t, f"{key} item", float) for t in echoed(value, key, list))),
+}
 
 
-def _parse_group(text: str, key: str) -> Group:
-    return parse_group(text)
-
-
-def _read_config(path: str, cls, parsers: dict) -> dict:
-    """The values the config file at ``path`` sets, each read by its key's
-    parser, in key-table order; a key is required unless its field of ``cls``
-    has a default."""
+def _read_config(path: str, cls, fixed: tuple[str, ...] = ()) -> dict:
+    """The values the config file at ``path`` sets, one key per field of
+    ``cls`` but the ``fixed`` ones, each read by its declared type in field
+    order; a key is required unless its field has a default."""
+    settable = [f for f in fields(cls) if f.name not in fixed]
     pairs = _parse_kv_file(path)
-    unknown = sorted(set(pairs) - set(parsers))
+    unknown = sorted(set(pairs) - {f.name for f in settable})
     if unknown:
         raise ValidationError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    optional = {f.name for f in fields(cls) if f.default is not MISSING}
-    missing = sorted(set(parsers) - optional - set(pairs))
+    missing = sorted(f.name for f in settable if f.default is MISSING and f.name not in pairs)
     if missing:
         raise ValidationError(f"{path}: missing required keys: {', '.join(missing)}")
-    return {key: parse(pairs[key], key) for key, parse in parsers.items() if key in pairs}
+    return {f.name: _READERS[f.type][0](pairs[f.name], f.name)
+            for f in settable if f.name in pairs}
+
+
+def from_json(cls, data: dict, keys: dict[str, str] | None = None, **given):
+    """An instance of ``cls`` holding ``given`` and, in field order, each other
+    field read by its declared type from ``data`` under its name, or under
+    ``keys[name]`` where the JSON names it otherwise."""
+    keys = keys or {}
+    values = {}
+    for f in fields(cls):
+        if f.name not in given:
+            key = keys.get(f.name, f.name)
+            values[f.name] = _READERS[f.type][1](data[key], key)
+    return cls(**values, **given)
 
 
 def _echo(config) -> dict:
@@ -113,6 +132,10 @@ def _echo(config) -> dict:
     echo = asdict(config)
     del echo["out_dir"]
     return echo
+
+
+# the one sweep field an echo names otherwise
+_SWEEP_ECHO_KEYS = {"rounding": "round"}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -161,32 +184,19 @@ class SweepConfig:
     def echo(self) -> dict:
         """Config as plain data for report embedding (see ``_echo``): the
         group as text, the grid as a list, and ``rounding`` under ``round``."""
-        echo = _echo(self)
-        echo.update(group=str(self.group), theta_grid=list(self.theta_grid),
-                    round=echo.pop("rounding"))
+        echo = {_SWEEP_ECHO_KEYS.get(k, k): v for k, v in _echo(self).items()}
+        echo.update(group=str(self.group), theta_grid=list(self.theta_grid))
         return echo
 
     @classmethod
     def from_echo(cls, data: dict, out_dir: str = ".") -> "SweepConfig":
-        return cls(group=parse_group(data["group"]), n=echoed_int(data, "n"),
-                   theta_grid=tuple(echoed(t, "theta_grid item", float)
-                                    for t in data["theta_grid"]),
-                   trials=echoed_int(data, "trials"), noise_model=data["noise_model"],
-                   rounding=data["round"], loss=data["loss"],
-                   mc_samples=echoed_int(data, "mc_samples"),
-                   master_seed=echoed_int(data, "master_seed"), out_dir=out_dir)
-
-
-# the group fixes the remaining fields, rounding and loss
-SWEEP_KEYS = {
-    "group": _parse_group, "n": _parse_int, "theta_grid": _parse_grid,
-    "trials": _parse_int, "noise_model": _parse_text, "mc_samples": _parse_int,
-    "master_seed": _parse_int, "out_dir": _parse_text,
-}
+        """Inverse of ``echo``: every field read by its declared type."""
+        return from_json(cls, data, _SWEEP_ECHO_KEYS, out_dir=out_dir)
 
 
 def parse_sweep_config(path: str) -> SweepConfig:
-    values = _read_config(path, SweepConfig, SWEEP_KEYS)
+    # the group fixes the remaining fields, rounding and loss
+    values = _read_config(path, SweepConfig, fixed=("rounding", "loss"))
     group = values["group"]
     return SweepConfig(**values, rounding=rounding_rule(group), loss=default_loss(group))
 
@@ -255,13 +265,5 @@ class UniversalityConfig:
         return _echo(self)
 
 
-UNIVERSALITY_KEYS = {
-    "ensemble_a": _parse_text, "ensemble_b": _parse_text, "n": _parse_int,
-    "theta": _parse_float, "phi": _parse_text, "n_pairs": _parse_int,
-    "trials": _parse_int, "master_seed": _parse_int, "signal": _parse_text,
-    "out_dir": _parse_text,
-}
-
-
 def parse_universality_config(path: str) -> UniversalityConfig:
-    return UniversalityConfig(**_read_config(path, UniversalityConfig, UNIVERSALITY_KEYS))
+    return UniversalityConfig(**_read_config(path, UniversalityConfig))

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .. import __version__
 from ..errors import ValidationError
-from .config import SweepConfig, echoed, echoed_int
+from .config import SweepConfig, echoed, from_json
 
 CSV_COLUMNS = ("group", "n", "noise_model", "theta", "trial", "seed",
                "empirical_loss", "prediction_mean", "prediction_stderr")
@@ -62,30 +62,36 @@ def summarize_trials(theta: float, losses, prediction) -> ThetaSummary:
 
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal for a float (stable across runs)."""
-    if isinstance(x, float) and not math.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} cannot be serialized")
     return repr(float(x))
 
 
-def write_sweep_csv(report: SweepReport, path: str) -> None:
-    """One row per (theta, trial); per-theta prediction columns repeated."""
-    lines = [",".join(CSV_COLUMNS)]
-    cfg = report.config
-    for rec in report.records:
-        summ = report.summaries[rec.theta_index]
-        lines.append(",".join([
-            str(cfg.group), str(cfg.n), cfg.noise_model, _fmt(rec.theta),
-            str(rec.trial), rec.seed, _fmt(rec.empirical_loss),
-            _fmt(summ.prediction_mean), _fmt(summ.prediction_stderr),
-        ]))
+def _write_csv(columns, rows, path: str) -> None:
+    """Write ``rows``, dicts holding each of ``columns``, under a header line:
+    a float cell through ``_fmt``, an int or str one through ``str``.  Every
+    line is built before the file is opened, so a non-finite value raises
+    ValueError and leaves no file."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c])
+                       for c in columns) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_sweep_csv(report: SweepReport, path: str) -> None:
+    """One row per (theta, trial); per-theta prediction columns repeated."""
+    cfg = report.config
+    head = {"group": str(cfg.group), "n": cfg.n, "noise_model": cfg.noise_model}
+    summaries = [asdict(s) for s in report.summaries]
+    _write_csv(CSV_COLUMNS, ({**head, **summaries[rec.theta_index], **asdict(rec)}
+                             for rec in report.records), path)
+
+
 def _write_json(report, payload: dict, path: str, include_timing: bool) -> None:
     """Write ``payload`` and the report's meta entry as sorted, indented JSON;
-    a non-finite float raises ValueError before the file is opened, as in the
-    CSV writers.  The wall time is written only when asked for."""
+    a non-finite float raises ValueError before the file is opened, as in
+    ``_write_csv``.  The wall time is written only when asked for."""
     meta = {"package": "spikesim", "version": report.version}
     if include_timing and report.wall_time_s is not None:
         meta["wall_time_s"] = report.wall_time_s
@@ -120,18 +126,6 @@ def _check_sweep_report(config: SweepConfig, records, summaries) -> None:
                               f"with mc_samples {config.mc_samples}")
 
 
-# a report row field is read back by its declared type, which its JSON type
-# must match: an integer goes through echoed_int, so 120.0 is 120 but 120.7 is
-# refused; neither "1.5" nor true is a float, and 12 is not a str
-_FIELD_READERS = {"int": echoed_int,
-                  "float": lambda row, key: echoed(row[key], key, float),
-                  "str": lambda row, key: echoed(row[key], key, str)}
-
-
-def _read_row(cls, row: dict):
-    return cls(**{f.name: _FIELD_READERS[f.type](row, f.name) for f in fields(cls)})
-
-
 def load_sweep_report(path: str) -> SweepReport:
     """Read a sweep ``report.json``; JSON not shaped like a report, holding a
     non-finite number, or disagreeing with itself is a ValidationError."""
@@ -146,8 +140,8 @@ def load_sweep_report(path: str) -> SweepReport:
         data = json.load(fh, parse_float=finite, parse_constant=finite)
     try:
         config = SweepConfig.from_echo(data["config"])
-        records = tuple(_read_row(TrialRecord, r) for r in data["records"])
-        summaries = tuple(_read_row(ThetaSummary, s) for s in data["summaries"])
+        records = tuple(from_json(TrialRecord, r) for r in data["records"])
+        summaries = tuple(from_json(ThetaSummary, s) for s in data["summaries"])
         _check_sweep_report(config, records, summaries)
         meta = data.get("meta", {})
         version = echoed(meta.get("version", __version__), "version", str)
@@ -208,13 +202,7 @@ def _pair_row(p: PairComparison) -> dict:
 
 
 def write_universality_csv(report: UniversalityReport, path: str) -> None:
-    lines = [",".join(UNIVERSALITY_CSV_COLUMNS)]
-    for p in report.pairs:
-        row = _pair_row(p)
-        lines.append(",".join(str(row[c]) if isinstance(row[c], int) else _fmt(row[c])
-                              for c in UNIVERSALITY_CSV_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(UNIVERSALITY_CSV_COLUMNS, (_pair_row(p) for p in report.pairs), path)
 
 
 def write_universality_json(report: UniversalityReport, path: str,

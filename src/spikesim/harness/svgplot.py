@@ -16,7 +16,6 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 
 SERIES_COLORS = {"truth-or-haar": "#1f6fb4", "gaussian-additive": "#c75127"}
 PREDICTION_COLOR = "#2e8b3d"
-FALLBACK_COLOR = "#555555"
 TITLE = "average loss vs signal strength"
 
 
@@ -102,7 +101,7 @@ def render_sweep_svg(reports) -> str:
     parts.append(f'<text x="{x1 - 125}" y="{legend_y + 8}" font-family="monospace" '
                  'font-size="10">prediction</text>')
     for k, report in enumerate(reports):
-        color = SERIES_COLORS.get(report.config.noise_model, FALLBACK_COLOR)
+        color = SERIES_COLORS[report.config.noise_model]
         for s in report.summaries:
             px, py = ax.x(s.theta), ax.y(s.empirical_mean)
             stderr = s.empirical_std / np.sqrt(max(report.config.trials, 1))

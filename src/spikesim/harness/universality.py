@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,8 +68,7 @@ def _pair_stats(group_free_vec: np.ndarray, pairs, phi, n: int) -> np.ndarray:
 
 def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarray,
                         theta: float, phi, pairs, trials: int, seed: int,
-                        workers: int = 1, config_echo: dict | None = None,
-                        ) -> UniversalityReport:
+                        workers: int = 1) -> UniversalityReport:
     """Compare phi(n * Re(u_i conj(u_j))) of the outlier eigenvector u between
     two moment-matched ensembles, with the same planted direction v.  ``phi``
     names one of the statistics in ``PHI_FUNCS``.
@@ -122,13 +122,9 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
             stderr_a=float(stats_a[:, k].std(ddof=1) / root),
             mean_b=float(stats_b[:, k].mean()),
             stderr_b=float(stats_b[:, k].std(ddof=1) / root)))
-    if config_echo is None:
-        config_echo = {
-            "ensemble_a": ensemble_text(spec_a), "ensemble_b": ensemble_text(spec_b),
-            "n": n, "theta": float(theta), "phi": phi,
-            "n_pairs": len(pairs), "trials": trials, "master_seed": seed,
-            "signal": "explicit",
-        }
+    config_echo = {"ensemble_a": ensemble_text(spec_a), "ensemble_b": ensemble_text(spec_b),
+                   "n": n, "theta": float(theta), "phi": phi, "n_pairs": len(pairs),
+                   "trials": trials, "master_seed": seed, "signal": "explicit"}
     return UniversalityReport(config_echo=config_echo, pairs=tuple(comparisons),
                               wall_time_s=time.perf_counter() - start)
 
@@ -165,13 +161,13 @@ def _draw_pairs(n: int, n_pairs: int, rng) -> list[tuple[int, int]]:
 def run_universality_config(config: UniversalityConfig, workers: int = 1,
                             ) -> UniversalityReport:
     """Config-file front end: build the signal and the index pairs from the
-    master seed, then run the A/B comparison."""
+    master seed, then run the A/B comparison and echo the config itself."""
     spec_a = parse_ensemble(config.ensemble_a, config.n)
     spec_b = parse_ensemble(config.ensemble_b, config.n)
     v = _signal_vector(config.signal, config.n, spec_a.field,
                        stream(config.master_seed, "signal"))
     pairs = _draw_pairs(config.n, config.n_pairs,
                         stream(config.master_seed, "pairs"))
-    return run_universality_ab(spec_a, spec_b, v, config.theta, config.phi, pairs,
-                               config.trials, config.master_seed, workers=workers,
-                               config_echo=config.echo())
+    report = run_universality_ab(spec_a, spec_b, v, config.theta, config.phi, pairs,
+                                 config.trials, config.master_seed, workers=workers)
+    return replace(report, config_echo=config.echo())

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from spikesim.harness import (
     write_universality_json,
 )
 from spikesim.harness.cli import main
-from spikesim.harness.config import SWEEP_KEYS, UNIVERSALITY_KEYS, ensemble_text
+from spikesim.harness.config import ensemble_text
 from spikesim.harness.report import (
     CSV_COLUMNS,
     PairComparison,
@@ -159,15 +159,19 @@ def test_sweep_config_echo_round_trip():
         assert SweepConfig.from_echo(json.loads(json.dumps(other.echo()))) == other
 
 
-def test_config_key_tables_are_the_fields():
-    # a sweep file sets every field but the two its group fixes
-    assert list(SWEEP_KEYS) == [f.name for f in fields(SweepConfig)
-                                if f.name not in ("rounding", "loss")]
-    assert list(UNIVERSALITY_KEYS) == [f.name for f in fields(UniversalityConfig)]
+def test_config_key_tables_are_the_fields(tmp_path):
+    # a file sets each field under its name; a sweep file all but the two its
+    # group fixes (test_parse_sweep_config_errors refuses those two keys)
+    text = SWEEP_TEXT + "out_dir = elsewhere\n"
+    assert parse_sweep_config(write_config(tmp_path, text)) == \
+        tiny_sweep_config(out_dir="elsewhere")
+    univ = UniversalityConfig(ensemble_a="goe", ensemble_b="goe", n=20, theta=2.0,
+                              trials=2, master_seed=0, out_dir="elsewhere")
+    text = "".join(f"{key} = {value}\n" for key, value in asdict(univ).items())
+    assert parse_universality_config(write_config(tmp_path, text, "univ.cfg")) == univ
     # a universality echo is the file keys less the output location
-    echo = UniversalityConfig(ensemble_a="goe", ensemble_b="goe", n=20, theta=2.0,
-                              trials=2, master_seed=0, out_dir="elsewhere").echo()
-    assert list(echo) == [k for k in UNIVERSALITY_KEYS if k != "out_dir"]
+    assert list(univ.echo()) == [f.name for f in fields(UniversalityConfig)
+                                 if f.name != "out_dir"]
 
 
 def test_parse_sweep_config_defaults(tmp_path):
@@ -338,15 +342,25 @@ def test_csv_layout(tmp_path):
 
 
 def test_json_round_trip_idempotent(tmp_path):
-    report = run_sweep(tiny_sweep_config())
-    p1, p2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
-    write_sweep_json(report, p1)
-    loaded = load_sweep_report(p1)
-    assert loaded.config == tiny_sweep_config()
-    assert loaded.records == report.records
-    assert loaded.summaries == report.summaries
-    write_sweep_json(loaded, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    # a loaded report re-emits byte-identical csv and json
+    u1 = tiny_sweep_config(group=parse_group("U(1)"), rounding="phase",
+                           loss="one-minus-cos", noise_model="gaussian-additive")
+
+    def emit(report, name):
+        write_sweep_json(report, str(tmp_path / f"{name}.json"))
+        write_sweep_csv(report, str(tmp_path / f"{name}.csv"))
+
+    for cfg in (tiny_sweep_config(), u1):
+        report = run_sweep(cfg)
+        emit(report, "first")
+        loaded = load_sweep_report(str(tmp_path / "first.json"))
+        assert loaded.config == cfg
+        assert loaded.records == report.records
+        assert loaded.summaries == report.summaries
+        emit(loaded, "again")
+        for ext in ("json", "csv"):
+            assert (tmp_path / f"first.{ext}").read_bytes() == \
+                (tmp_path / f"again.{ext}").read_bytes()
 
 
 def test_json_timing_opt_in(tmp_path):
@@ -829,7 +843,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                ("records", "seed", int(data["records"][0]["seed"])),
                ("config", "theta_grid", [repr(t) for t in data["config"]["theta_grid"]]),
                ("meta", "version", 1), ("meta", "wall_time_s", "fast"))
-    for part, key, value in mangles:
+    # a mistyped config str is named, not tripped over
+    mistyped = (("config", "group", 2), ("config", "noise_model", 5),
+                ("config", "round", 1), ("config", "loss", None))
+    for part, key, value in mangles + mistyped:
         bad_data = json.loads(text)
         if part in ("config", "meta"):
             bad_data[part][key] = value
@@ -840,7 +857,10 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         not_report.write_text(json.dumps(bad_data))
         svg = tmp_path / "inconsistent.svg"
         assert main(["plot", str(not_report), "--out", str(svg)]) == 2
-        assert "not a sweep report" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not a sweep report" in err
+        if (part, key, value) in mistyped:
+            assert f"{key} must be a str, got {value!r}" in err
         assert not svg.exists()
     # an integral float is an integer
     data["config"]["n"] = 60.0
