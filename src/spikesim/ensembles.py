@@ -2,19 +2,23 @@
 
 All samplers are pure functions of (spec, seed): a seed may be an integer
 (hashed into a named Philox stream, see ``rng``) or an explicit Generator.
-Identical inputs give bit-identical matrices, and every output satisfies the
-``HermitianMatrix`` exact-symmetry invariant by construction.
+Identical inputs give bit-identical outputs.  The noise samplers return
+``HermitianMatrix`` objects, exactly Hermitian by construction.  The sync
+observation model stores each pairwise observation once:
+``sample_truth_or_haar`` returns the upper triangle Y_ij, i < j, as a flat
+array, and ``sync_observation_matrix`` embeds it into a Hermitian matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .groups import (CyclicGroup, Group, character, difference, haar_sample,
-                     identity_element, inverse, real_field)
+from .groups import (CyclicGroup, Group, character, difference, haar_sample, inverse,
+                     real_field)
 from .matrices import HermitianMatrix, symmetrize
 from .rng import as_generator
 
@@ -22,10 +26,6 @@ ENSEMBLE_KINDS = ("goe", "gue", "generalized-wigner")
 ENTRY_LAWS = ("gaussian", "rademacher", "uniform-centered")
 
 ROW_SUM_TOL = 1e-8
-
-# circle angles composed with their mirrored inverse must land this close to
-# the identity; inverse-of-inverse is not bit-exact in floats
-CIRCLE_HERMITIAN_TOL = 1e-9
 
 # a given variance profile must keep n*sigma^2_ij within [1/GAMMA_W, GAMMA_W]
 GAMMA_W = 10.0
@@ -208,12 +208,13 @@ def build_spiked(spike: SpikeConfig, noise: HermitianMatrix) -> HermitianMatrix:
 
 
 def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
-    """Pairwise observations: the true difference x_i x_j^{-1} with probability
-    p, otherwise an independent Haar element, independently for each i < j.
+    """Pairwise observations Y_ij for i < j: the true difference x_i x_j^{-1}
+    with probability p, otherwise an independent Haar element.
 
-    The diagonal is the identity and the lower triangle mirrors by inversion,
-    so the output is exactly G-Hermitian.  Returns an integer residue matrix
-    (cyclic) or an angle matrix (circle).
+    Returns the n(n-1)/2 upper-triangle values in ``np.triu_indices(n, 1)``
+    (row-major) order: integer residues (cyclic) or angles (circle).
+    Y_ji = Y_ij^{-1} and Y_ii = identity are definitions, not data, so they are
+    not stored.
     """
     p = float(p)
     if not (0.0 <= p <= 1.0):
@@ -228,53 +229,46 @@ def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
     u = rng.random(m)
     haar = haar_sample(group, m, rng)
     truth = difference(group, x[iu[0]], x[iu[1]])
-    vals = np.where(u < p, truth, haar)
+    return np.where(u < p, truth, haar)
+
+
+def _triangle_side(y: np.ndarray, group: Group) -> int:
+    """n for an upper triangle of n(n-1)/2 observations, n >= 2; refuses
+    anything else, residues outside [0, L) and non-finite angles."""
+    if y.ndim != 1:
+        raise ValidationError(f"observations must be a 1-D upper triangle, got shape {y.shape}")
+    n = (1 + math.isqrt(1 + 8 * y.size)) // 2
+    if y.size == 0 or n * (n - 1) // 2 != y.size:
+        raise ValidationError(
+            f"{y.size} observations are not the upper triangle of an n x n matrix with n >= 2")
     if isinstance(group, CyclicGroup):
-        y = np.zeros((n, n), dtype=np.int64)
-    else:
-        y = np.zeros((n, n), dtype=np.float64)
-    y[iu] = vals
-    y[(iu[1], iu[0])] = inverse(group, vals)
-    # diagonal stays at 0 = identity for both group kinds
-    return y
-
-
-def circle_distance(a, b) -> np.ndarray:
-    """Geodesic distance on the circle between angle arrays."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % (2.0 * np.pi)
-    return np.minimum(d, 2.0 * np.pi - d)
-
-
-def is_group_hermitian(group: Group, y: np.ndarray) -> bool:
-    """Check Y_ji = Y_ij^{-1} with identity diagonal.
-
-    Exact for cyclic residues; for the circle the composed angles must be
-    within ``CIRCLE_HERMITIAN_TOL`` of the identity.
-    """
-    y = np.asarray(y)
-    if y.ndim != 2 or y.shape[0] != y.shape[1]:
-        return False
-    ident = identity_element(group)
-    if isinstance(group, CyclicGroup):
-        return bool(np.all(np.diag(y) == ident) and np.array_equal(y, inverse(group, y.T)))
-    if not np.all(circle_distance(np.diag(y), ident) <= CIRCLE_HERMITIAN_TOL):
-        return False
-    composed = np.mod(y + y.T, 2.0 * np.pi)
-    return bool(np.all(circle_distance(composed, 0.0) <= CIRCLE_HERMITIAN_TOL))
+        if not np.issubdtype(y.dtype, np.integer):
+            raise ValidationError(f"{group} observations must be integer residues, got {y.dtype}")
+        if np.any(y < 0) or np.any(y >= group.order):
+            raise ValidationError(f"{group} observations must lie in [0, {group.order})")
+    elif y.dtype.kind not in "iuf" or not np.isfinite(y).all():
+        raise ValidationError("U(1) observations must be finite real angles")
+    return n
 
 
 def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
-    """Embed a G-Hermitian observation matrix into Hermitian form: H_ij = chi(Y_ij)/sqrt(n).
+    """Embed upper-triangle observations into Hermitian form: H_ij = chi(Y_ij)/sqrt(n).
 
-    For Z/2 the result is exactly real with entries +-1/sqrt(n); otherwise the
-    complex character matrix is symmetrized (a <=1-ulp adjustment) to meet the
-    exact Hermiticity contract.
+    ``y`` is laid out as ``sample_truth_or_haar`` returns it; below the
+    diagonal H_ji = chi(Y_ij^{-1})/sqrt(n), and the diagonal is
+    chi(identity)/sqrt(n) = 1/sqrt(n).  For Z/2 the result is exactly real
+    with entries +-1/sqrt(n); otherwise the complex character matrix is
+    symmetrized (a <=1-ulp adjustment) to meet the exact Hermiticity contract.
     """
     y = np.asarray(y)
-    if not is_group_hermitian(group, y):
-        raise ValidationError("Y is not group-Hermitian")
-    n = y.shape[0]
-    c = character(group, y) / np.sqrt(n)
+    n = _triangle_side(y, group)
+    root_n = np.sqrt(n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    c = np.empty((n, n), dtype=np.complex128)
+    c[upper] = character(group, y) / root_n
+    # c.T[upper] runs over (j, i) for i < j in the same row-major pair order
+    c.T[upper] = character(group, inverse(group, y)) / root_n
+    np.fill_diagonal(c, 1.0 / root_n)
     if real_field(group):
         return HermitianMatrix(c.real.copy())
     return HermitianMatrix(symmetrize(c))

@@ -76,10 +76,6 @@ def real_field(group: Group) -> bool:
     return isinstance(group, CyclicGroup) and group.order == 2
 
 
-def identity_element(group: Group):
-    return 0 if isinstance(group, CyclicGroup) else 0.0
-
-
 def _wrap_angle(x):
     """Reduce mod 2*pi into [0, 2*pi); np.mod can return exactly 2*pi for tiny
     negative inputs, which must fold to 0."""
@@ -98,12 +94,6 @@ def inverse(group: Group, x):
     if isinstance(group, CyclicGroup):
         return np.mod(-np.asarray(x, dtype=np.int64), group.order)
     return _wrap_angle(-np.asarray(x, dtype=np.float64))
-
-
-def compose(group: Group, x, y):
-    if isinstance(group, CyclicGroup):
-        return np.mod(np.asarray(x, dtype=np.int64) + np.asarray(y, dtype=np.int64), group.order)
-    return _wrap_angle(np.asarray(x, dtype=np.float64) + np.asarray(y, dtype=np.float64))
 
 
 def difference(group: Group, x, y):

@@ -17,6 +17,31 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
+def _hermitian_entries(entries) -> np.ndarray:
+    """``entries`` as float64 or complex128, checked square, nonempty, finite
+    and exactly conjugate-symmetric; raises ValueError otherwise.
+
+    The checks of ``HermitianMatrix``, for callers that take a raw array and
+    build no wrapper.  No copy is made when the dtype already fits.
+    """
+    a = np.asarray(entries)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"entries must be a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("empty matrix")
+    if np.issubdtype(a.dtype, np.complexfloating):
+        a = a.astype(np.complex128, copy=False)
+    elif np.issubdtype(a.dtype, np.floating) or np.issubdtype(a.dtype, np.integer):
+        a = a.astype(np.float64, copy=False)
+    else:
+        raise ValueError(f"unsupported dtype {a.dtype}")
+    if not np.isfinite(a).all():
+        raise ValueError("entries must be finite")
+    if not np.array_equal(a, a.conj().T):
+        raise ValueError("entries are not exactly conjugate-symmetric")
+    return a
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """A dense Hermitian matrix, validated on construction.
@@ -31,21 +56,7 @@ class HermitianMatrix:
     is_real: bool = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.entries)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"entries must be a square matrix, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise ValueError("empty matrix")
-        if np.issubdtype(a.dtype, np.complexfloating):
-            a = a.astype(np.complex128, copy=False)
-        elif np.issubdtype(a.dtype, np.floating) or np.issubdtype(a.dtype, np.integer):
-            a = a.astype(np.float64, copy=False)
-        else:
-            raise ValueError(f"unsupported dtype {a.dtype}")
-        if not np.isfinite(a).all():
-            raise ValueError("entries must be finite")
-        if not np.array_equal(a, a.conj().T):
-            raise ValueError("entries are not exactly conjugate-symmetric")
+        a = _hermitian_entries(self.entries)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "is_real", a.dtype == np.float64)
 

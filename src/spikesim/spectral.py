@@ -25,7 +25,7 @@ import scipy.linalg
 
 from .errors import BracketError, SingularShiftError
 from .limits import semicircle_cauchy_transform
-from .matrices import HermitianMatrix
+from .matrices import HermitianMatrix, _hermitian_entries
 
 SOLVE_RTOL = 1e-10
 UNIT_TOL = 1e-8
@@ -171,8 +171,12 @@ def secular_root(w, v: np.ndarray, theta: float) -> float:
     m'(z) = -||x||^2.  The loop stops at the first step below
     SECULAR_STEP_RTOL * |z|, a negative step from rounding at the root
     included, and raises RuntimeError after SECULAR_MAX_STEPS steps.
+
+    A raw array ``w`` must pass the ``HermitianMatrix`` checks (ValueError
+    otherwise): ``eigvalsh`` reads one triangle while the LU solves read both,
+    so for any other w the bracket and the root come from different matrices.
     """
-    wm = _entries(w)
+    wm = w.entries if isinstance(w, HermitianMatrix) else _hermitian_entries(w)
     v = _check_unit(v, "v")
     theta = float(theta)
     if not 0.0 < theta < np.inf:

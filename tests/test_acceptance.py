@@ -13,6 +13,7 @@ tuned until it worked.
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -251,7 +252,7 @@ def test_criterion_9_byte_determinism(tmp_path):
                              ("svg", write_sweep_svg)):
             path = os.path.join(str(out), f"report.{kind}")
             writer(rep, path)
-            paths[kind] = open(path, "rb").read()
+            paths[kind] = Path(path).read_bytes()
         return paths
 
     serial = emit(1, "serial")

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from spikesim import (
+    CyclicGroup,
     EnsembleSpec,
     HermitianMatrix,
     SpikeConfig,
     ValidationError,
     build_spiked,
+    canonicalize,
     character,
     derive_key,
-    is_group_hermitian,
+    inverse,
     pairwise_matrix,
     parse_group,
     sample_ensemble,
@@ -23,9 +25,9 @@ from spikesim import (
     symmetrize,
     sync_observation_matrix,
 )
-from spikesim.ensembles import ENTRY_LAWS, GAMMA_W, circle_distance
+from spikesim.ensembles import ENTRY_LAWS, GAMMA_W
 from spikesim.harness.universality import check_moment_match
-from spikesim.groups import haar_sample
+from spikesim.groups import haar_sample, real_field
 
 Z2 = parse_group("Z/2")
 Z5 = parse_group("Z/5")
@@ -328,17 +330,13 @@ def test_build_spiked_dimension_mismatch():
 
 def test_truth_or_haar_degenerate_p():
     rng = stream(11, "toh")
+    n = 12
     for group in (Z5, U1):
-        x = haar_sample(group, 12, rng)
+        x = haar_sample(group, n, rng)
         y = sample_truth_or_haar(group, x, 1.0, stream(11, "p1"))
-        d = pairwise_matrix(group, x)
-        if group is Z5:
-            assert np.array_equal(y, d)  # all-truth, exact for residues
-        else:
-            # lower triangle goes through angle inversion, so only equal up
-            # to wrap-around rounding
-            assert np.all(circle_distance(y, d) < 1e-12)
-        assert is_group_hermitian(group, y)
+        # all-truth: the upper triangle of the pairwise matrix, exactly, for
+        # angles as for residues
+        assert np.array_equal(y, pairwise_matrix(group, x)[np.triu_indices(n, 1)])
     with pytest.raises(ValueError):
         sample_truth_or_haar(Z5, haar_sample(Z5, 5, rng), 1.5, 0)
     with pytest.raises(ValueError):
@@ -350,9 +348,9 @@ def test_truth_or_haar_agreement_rate():
     n, p = 2000, 0.3
     x = haar_sample(Z5, n, stream(12, "x"))
     y = sample_truth_or_haar(Z5, x, p, stream(12, "y"))
-    d = pairwise_matrix(Z5, x)
     iu = np.triu_indices(n, 1)
-    agree = np.mean(y[iu] == d[iu])
+    d = pairwise_matrix(Z5, x)[iu]
+    agree = np.mean(y == d)
     expect = p + (1.0 - p) / 5.0
     se = np.sqrt(expect * (1.0 - expect) / iu[0].size)
     # 4 sigma: the seed is frozen, but leave headroom (one stream here sits
@@ -361,19 +359,19 @@ def test_truth_or_haar_agreement_rate():
 
     # p = 0 is pure Haar: agreement only by chance
     y0 = sample_truth_or_haar(Z5, x, 0.0, stream(12, "y0"))
-    agree0 = np.mean(y0[iu] == d[iu])
+    agree0 = np.mean(y0 == d)
     se0 = np.sqrt(0.2 * 0.8 / iu[0].size)
     assert abs(agree0 - 0.2) <= 4.0 * se0
 
 
-def test_truth_or_haar_group_hermitian_structure():
+def test_truth_or_haar_returns_upper_triangle():
+    n = 30
     for group in (Z2, Z5, U1):
-        x = haar_sample(group, 30, stream(13, "x", str(group)))
+        x = haar_sample(group, n, stream(13, "x", str(group)))
         y = sample_truth_or_haar(group, x, 0.4, stream(13, "y", str(group)))
-        assert is_group_hermitian(group, y)
-        assert np.all(np.diag(y) == 0)
-        if group is Z5:
-            assert np.array_equal(y.T, np.mod(-y, 5))
+        assert y.shape == (n * (n - 1) // 2,)
+        assert y.dtype == (np.float64 if group is U1 else np.int64)
+        assert np.array_equal(canonicalize(group, y), y)
 
 
 def test_sync_observation_z2_exactly_real():
@@ -403,11 +401,46 @@ def test_sync_observation_conditional_mean():
 
 
 def test_sync_observation_rejects_broken_input():
-    y = np.zeros((5, 5), dtype=np.int64)
-    y[0, 1] = 2
-    y[1, 0] = 2  # should be the inverse, 3
-    with pytest.raises(ValidationError):
-        sync_observation_matrix(Z5, y)
+    # only an upper triangle of n >= 2 group elements is accepted
+    assert sync_observation_matrix(Z5, np.zeros(10, dtype=np.int64)).n == 5
+    for bad in (np.zeros((5, 5), dtype=np.int64),  # a full matrix
+                np.array(1),                       # a scalar
+                np.zeros(0, dtype=np.int64),       # n = 1
+                np.zeros(9, dtype=np.int64),       # not a triangular number
+                np.array([0, 1, 5]),               # residue out of range
+                np.array([0, -1, 2]),
+                np.array([0.0, 1.0, 2.0])):        # not integer residues
+        with pytest.raises(ValidationError):
+            sync_observation_matrix(Z5, bad)
+    assert sync_observation_matrix(U1, np.array([0.5, 7.0, -1.0])).n == 3
+    for bad in (np.array([0.0, np.nan, 1.0]), np.array([np.inf, 0.0, 0.0]),
+                np.array([1j, 0.0, 0.0]), np.zeros(2)):
+        with pytest.raises(ValidationError):
+            sync_observation_matrix(U1, bad)
+
+
+def _full_matrix_embedding(group, y, n):
+    """The full-matrix reference from the same triangle: mirror through the
+    inverse (0 is the identity on the diagonal), apply chi/sqrt(n), then make
+    it exactly real (Z/2) or symmetrize."""
+    iu = np.triu_indices(n, 1)
+    full = np.zeros((n, n), dtype=y.dtype)
+    full[iu] = y
+    full[iu[1], iu[0]] = inverse(group, y)
+    c = character(group, full) / np.sqrt(n)
+    return c.real.copy() if real_field(group) else symmetrize(c)
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(order) for order in range(2, 25)] + [U1],
+                         ids=lambda g: str(g).replace("/", ""))
+def test_sync_observation_matches_full_matrix_reference(group):
+    for n in (2, 3, 60, 500):
+        x = haar_sample(group, n, stream(18, "x", str(group), n))
+        y = sample_truth_or_haar(group, x, 0.5, stream(18, "y", str(group), n))
+        got = sync_observation_matrix(group, y).entries
+        want = _full_matrix_embedding(group, y, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
 def test_circle_sync_observation_hermitian():

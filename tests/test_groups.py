@@ -5,9 +5,8 @@ from hypothesis.extra import numpy as hnp
 
 from spikesim.errors import ValidationError
 from spikesim.groups import (CircleGroup, CyclicGroup, average_loss, canonicalize,
-                             character, character_table, compose, difference,
-                             estimate_group_matrix, haar_sample, identity_element,
-                             inverse, loss_values, pairwise_matrix, parse_group,
+                             character, character_table, difference,
+                             estimate_group_matrix, haar_sample, inverse, loss_values, pairwise_matrix, parse_group,
                              round_to_group)
 from spikesim.rng import stream
 
@@ -36,8 +35,10 @@ def test_cyclic_order_validation():
 
 
 def test_identity_and_canonicalize():
-    assert identity_element(Z5) == 0
-    assert identity_element(U1) == 0.0
+    # 0 is the identity of both groups: x x^{-1} = 0 and chi(0) = 1
+    for group, x in ((Z5, 3), (U1, 2.5)):
+        assert difference(group, x, x) == 0
+        assert character(group, 0) == 1.0
     assert canonicalize(Z5, -2) == 3
     assert np.array_equal(canonicalize(Z5, [5, 6, -1]), [0, 1, 4])
     assert canonicalize(U1, TWO_PI) == 0.0
@@ -46,13 +47,14 @@ def test_identity_and_canonicalize():
 
 
 def test_compose_inverse_difference():
-    assert compose(Z5, 3, 4) == 2
+    # x composed with y is difference(x, inverse(y))
+    assert difference(Z5, 3, inverse(Z5, 4)) == 2
     assert inverse(Z5, 2) == 3
     assert inverse(Z5, 0) == 0
     assert difference(Z5, 1, 3) == 3
     a, b = 1.0, 5.0
     assert difference(U1, a, b) == pytest.approx(TWO_PI + a - b)
-    assert compose(U1, inverse(U1, 2.5), 2.5) == pytest.approx(0.0)
+    assert difference(U1, inverse(U1, 2.5), inverse(U1, 2.5)) == 0.0
 
 
 def test_character_exact_values():
@@ -70,7 +72,7 @@ def test_character_exact_values():
 @given(st.integers(2, 24), st.integers(-50, 50), st.integers(-50, 50))
 def test_character_is_a_homomorphism_cyclic(order, x, y):
     g = CyclicGroup(order)
-    lhs = character(g, compose(g, x, y))
+    lhs = character(g, difference(g, x, inverse(g, y)))
     assert abs(lhs - character(g, x) * character(g, y)) <= 1e-12
 
 
@@ -88,7 +90,7 @@ def test_character_matches_canonical_table_lookup(order, shape, data):
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_character_is_a_homomorphism_circle(x, y):
-    lhs = character(U1, compose(U1, x, y))
+    lhs = character(U1, difference(U1, x, inverse(U1, y)))
     assert abs(lhs - character(U1, x) * character(U1, y)) <= 1e-12
 
 
@@ -119,7 +121,7 @@ def test_pairwise_cocycle(xs):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert compose(Z5, m[i, j], m[j, k]) == m[i, k]
+                assert difference(Z5, m[i, j], inverse(Z5, m[j, k])) == m[i, k]
 
 
 def test_round_cyclic_basic():
@@ -223,7 +225,7 @@ def test_average_loss_basics():
     x = haar_sample(Z5, 12, stream(7, "avg"))
     m = pairwise_matrix(Z5, x)
     assert average_loss(Z5, m, m) == 0.0
-    assert average_loss(Z5, m, compose(Z5, m, 1)) == 1.0
+    assert average_loss(Z5, m, difference(Z5, m, 1)) == 1.0
     with pytest.raises(ValidationError):
         average_loss(Z5, m, m[:5, :5])
     with pytest.raises(ValidationError):
@@ -235,11 +237,12 @@ def test_average_loss_translation_invariance():
     g = Z5
     x = haar_sample(g, 20, stream(8, "shift"))
     m1 = pairwise_matrix(g, x)
-    m2 = pairwise_matrix(g, compose(g, x, 2))
+    m2 = pairwise_matrix(g, difference(g, x, inverse(g, 2)))
     assert np.array_equal(m1, m2)
     a = haar_sample(U1, 20, stream(8, "shift-u1"))
     assert np.allclose(np.cos(pairwise_matrix(U1, a) -
-                              pairwise_matrix(U1, compose(U1, a, 1.234))), 1.0, atol=1e-12)
+                              pairwise_matrix(U1, difference(U1, a, inverse(U1, 1.234)))),
+                      1.0, atol=1e-12)
 
 
 def test_average_loss_independent_angles_near_one():

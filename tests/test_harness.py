@@ -10,6 +10,7 @@ import json
 import math
 import os
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,12 +49,17 @@ from spikesim.harness.universality import (MOMENT_MATCH_TOL, _draw_pairs, _signa
 from spikesim.rng import stream
 
 Z2 = parse_group("Z/2")
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 SWEEP_TEXT = """\
@@ -188,7 +194,7 @@ def test_sweep_config_overrides(tmp_path):
         out_dir = tmp_path / f"{command}-moved"
         assert main([command, cfg_path, "--seed", "9", "--out-dir", str(out_dir),
                      "--format", "json"]) == 0
-        assert json.load(open(out_dir / report))["config"]["master_seed"] == 9
+        assert read_json(out_dir / report)["config"]["master_seed"] == 9
 
 
 def test_parse_ensemble_forms():
@@ -249,6 +255,15 @@ def test_parse_universality_config(tmp_path):
     assert (cfg.phi, cfg.n_pairs, cfg.signal) == ("tanh", 10, "haar")  # defaults
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_config_parses(path):
+    # the file name says which command runs it, and its header shows that command
+    command = path.name.split("-")[0]
+    parse = {"sweep": parse_sweep_config, "universality": parse_universality_config}[command]
+    parse(str(path))
+    assert f"spikesim {command} configs/{path.name}" in path.read_text(encoding="utf-8")
+
+
 def test_universality_config_validation():
     good = dict(ensemble_a="goe", ensemble_b="goe", n=20, theta=2.0, phi="tanh",
                 n_pairs=3, trials=2, master_seed=0)
@@ -289,7 +304,7 @@ def test_run_sweep_worker_invariance(tmp_path):
     p1, p3 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     write_sweep_json(serial, p1)
     write_sweep_json(threaded, p3)
-    assert open(p1, "rb").read() == open(p3, "rb").read()
+    assert Path(p1).read_bytes() == Path(p3).read_bytes()
 
 
 def test_run_sweep_other_groups():
@@ -331,7 +346,7 @@ def test_csv_layout(tmp_path):
     report = run_sweep(tiny_sweep_config())
     path = str(tmp_path / "report.csv")
     write_sweep_csv(report, path)
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + 6
     row = lines[1].split(",")
@@ -368,9 +383,9 @@ def test_json_timing_opt_in(tmp_path):
     quiet, timed = str(tmp_path / "q.json"), str(tmp_path / "t.json")
     write_sweep_json(report, quiet)
     write_sweep_json(report, timed, include_timing=True)
-    assert "wall_time_s" not in json.load(open(quiet))["meta"]
-    assert json.load(open(timed))["meta"]["wall_time_s"] == report.wall_time_s
-    meta = json.load(open(quiet))["meta"]
+    assert "wall_time_s" not in read_json(quiet)["meta"]
+    assert read_json(timed)["meta"]["wall_time_s"] == report.wall_time_s
+    meta = read_json(quiet)["meta"]
     assert meta["package"] == "spikesim"
 
 
@@ -396,9 +411,6 @@ def test_nonfinite_values_refuse_to_serialize(tmp_path):
 # shows up here.  Taken with numpy 2.4 / scipy 1.17 on scipy's OpenBLAS 0.3.30
 # (SkylakeX kernel, x86-64); a different LAPACK build may move the last bits
 # of the eigenvectors and with them these digests.
-CONFIGS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "configs")
-
 Z5_SWEEP_TEXT = """\
 group = Z/5
 n = 120
@@ -426,7 +438,7 @@ PINNED_REPORTS = {
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_report_bytes_pinned(tmp_path, name):
     if name == "sweep-quick":
-        cfg_path = os.path.join(CONFIGS_DIR, "sweep-quick.cfg")
+        cfg_path = str(CONFIGS_DIR / "sweep-quick.cfg")
     else:
         cfg_path = write_config(tmp_path, Z5_SWEEP_TEXT)
     out_dir = tmp_path / "out"
@@ -650,16 +662,16 @@ def test_universality_report_writers(tmp_path):
     json_path = str(tmp_path / "u.json")
     write_universality_csv(report, csv_path)
     write_universality_json(report, json_path)
-    lines = open(csv_path, encoding="utf-8").read().splitlines()
+    lines = Path(csv_path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "i,j,mean_a,stderr_a,mean_b,stderr_b,abs_diff,combined_stderr"
     assert len(lines) == 1 + len(report.pairs)
-    payload = json.load(open(json_path))
+    payload = read_json(json_path)
     assert payload["config"]["ensemble_a"] == "goe"
     assert "wall_time_s" not in payload["meta"]
     # emission is stable
     again = str(tmp_path / "u2.json")
     write_universality_json(report, again)
-    assert open(json_path, "rb").read() == open(again, "rb").read()
+    assert Path(json_path).read_bytes() == Path(again).read_bytes()
 
 
 def test_pair_comparison_properties():
@@ -701,7 +713,7 @@ def test_svg_write_matches_render(tmp_path):
     report = run_sweep(tiny_sweep_config(theta_grid=(1.5,), trials=2))
     path = str(tmp_path / "plot.svg")
     write_sweep_svg(report, path)
-    assert open(path, encoding="utf-8").read() == render_sweep_svg(report)
+    assert Path(path).read_text(encoding="utf-8") == render_sweep_svg(report)
 
 
 def test_svg_requires_summaries():
@@ -763,7 +775,7 @@ def test_cli_sweep_seed_override_changes_results(tmp_path):
     assert main(["sweep", cfg_path, "--out-dir", d1]) == 0
     assert main(["sweep", cfg_path, "--seed", "6", "--out-dir", d2]) == 0
     assert main(["sweep", cfg_path, "--out-dir", d3]) == 0
-    read = lambda d: open(os.path.join(d, "report.csv"), "rb").read()
+    read = lambda d: Path(d, "report.csv").read_bytes()
     assert read(d1) != read(d2)
     assert read(d1) == read(d3)  # same experiment elsewhere: same bytes
 
@@ -774,8 +786,8 @@ def test_cli_plot_matches_sweep_svg(tmp_path):
     assert main(["sweep", cfg_path, "--out-dir", out_dir]) == 0
     replot = str(tmp_path / "replot.svg")
     assert main(["plot", os.path.join(out_dir, "report.json"), "--out", replot]) == 0
-    original = open(os.path.join(out_dir, "report.svg"), "rb").read()
-    assert open(replot, "rb").read() == original
+    original = Path(out_dir, "report.svg").read_bytes()
+    assert Path(replot).read_bytes() == original
 
 
 def test_cli_universality(tmp_path, capsys):

@@ -418,6 +418,28 @@ def test_secular_root_argument_validation():
         secular_root(np.zeros((6, 6)), np.ones(6), 1.5)  # not unit
 
 
+def test_secular_root_refuses_raw_w_that_is_not_hermitian(monkeypatch):
+    # eigvalsh reads one triangle and the LU solves read both, so a raw w
+    # that is not exactly Hermitian is refused before any solve
+    n = 200
+    w = sample_goe(n, stream(19, "w")).entries.copy()
+    w[np.triu_indices(n, 1)] += 0.5 / np.sqrt(n)
+    v = unit(stream(19, "v").standard_normal(n))
+
+    def no_solve(*args):
+        raise AssertionError("resolvent solve reached")
+
+    monkeypatch.setattr(spikesim.spectral, "resolvent_solve", no_solve)
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        secular_root(w, v, 2.0)
+    with pytest.raises(ValueError, match="square"):
+        secular_root(w[:, :-1], v, 2.0)
+    w = np.zeros((n, n))
+    w[3, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        secular_root(w, v, 2.0)
+
+
 # ----------------------------------------------------- eigenvector via solve
 
 def test_eigvec_via_resolvent_matches_eigensolver():
