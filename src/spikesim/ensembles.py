@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .groups import (CyclicGroup, Group, character, difference, haar_sample, inverse,
-                     real_field)
+from .groups import CyclicGroup, Group, character, difference, haar_sample, inverse
 from .matrices import HermitianMatrix, symmetrize
 from .rng import as_generator
 
@@ -142,22 +141,22 @@ def sample_generalized_wigner(spec: EnsembleSpec, seed) -> HermitianMatrix:
     rng = as_generator(seed)
     n = spec.n
     prof = spec.variance_profile
-    iu = np.triu_indices(n, 1)
-    m = iu[0].size
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    m = n * (n - 1) // 2
     if prof is None:
         sig = sig_diag = np.sqrt(1.0 / n)
     else:
-        sig, sig_diag = np.sqrt(prof[iu]), np.sqrt(np.diag(prof))
+        sig, sig_diag = np.sqrt(prof[upper]), np.sqrt(np.diag(prof))
     if spec.field == "R":
         w = np.zeros((n, n))
-        w[iu] = _unit_variance_draws(spec.entry_law, rng, m) * sig
+        w[upper] = _unit_variance_draws(spec.entry_law, rng, m) * sig
         w = w + w.T
     else:
         w = np.zeros((n, n), dtype=np.complex128)
         scale = sig / np.sqrt(2.0)
         re = _unit_variance_draws(spec.entry_law, rng, m) * scale
         im = _unit_variance_draws(spec.entry_law, rng, m) * scale
-        w[iu] = re + 1.0j * im
+        w[upper] = re + 1.0j * im
         w = w + w.conj().T
     d = _unit_variance_draws(spec.entry_law, rng, n) * sig_diag
     w[np.diag_indices(n)] = d
@@ -256,19 +255,21 @@ def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
 
     ``y`` is laid out as ``sample_truth_or_haar`` returns it; below the
     diagonal H_ji = chi(Y_ij^{-1})/sqrt(n), and the diagonal is
-    chi(identity)/sqrt(n) = 1/sqrt(n).  For Z/2 the result is exactly real
-    with entries +-1/sqrt(n); otherwise the complex character matrix is
-    symmetrized (a <=1-ulp adjustment) to meet the exact Hermiticity contract.
+    chi(identity)/sqrt(n) = 1/sqrt(n).  H has the dtype of the character
+    table: float64 with entries +-1/sqrt(n) for Z/2, complex128 otherwise.
+    The character matrix is then symmetrized (a <=1-ulp adjustment) to meet
+    the exact Hermiticity contract; for Z/2 it is already symmetric, since
+    y^{-1} = y, and comes back bit for bit.
     """
     y = np.asarray(y)
     n = _triangle_side(y, group)
     root_n = np.sqrt(n)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    c = np.empty((n, n), dtype=np.complex128)
-    c[upper] = character(group, y) / root_n
+    above = character(group, y) / root_n
+    c = np.empty((n, n), dtype=above.dtype)
+    c[upper] = above
+    del above  # each n(n-1)/2 temporary is freed once it is copied into c
     # c.T[upper] runs over (j, i) for i < j in the same row-major pair order
     c.T[upper] = character(group, inverse(group, y)) / root_n
     np.fill_diagonal(c, 1.0 / root_n)
-    if real_field(group):
-        return HermitianMatrix(c.real.copy())
     return HermitianMatrix(symmetrize(c))

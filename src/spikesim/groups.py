@@ -70,8 +70,10 @@ def default_loss(group: Group) -> str:
 def real_field(group: Group) -> bool:
     """True iff the group's characters are real, i.e. the group is Z/2.
 
-    Its observation matrices, planted vectors and Gaussian noise are then
-    real; for every other group they are complex.
+    Its observation matrices and planted vectors are then float64 because its
+    character table is; this test only chooses a field where no character
+    decides it: GOE over GUE noise, the Monte Carlo's Gaussians and the
+    closed-form limit.
     """
     return isinstance(group, CyclicGroup) and group.order == 2
 
@@ -113,12 +115,14 @@ def haar_sample(group: Group, size, rng: np.random.Generator):
 def character_table(group: CyclicGroup) -> np.ndarray:
     """The L character values exp(2*pi*i*k/L), k = 0..L-1.
 
-    L = 2 and L = 4 are special-cased so the values are exact (+-1, +-i); the
-    Z/2 observation matrix must be exactly real.
+    Z/2 gets the float64 table [1.0, -1.0]: its characters are real, so every
+    Z/2 value built from them (observation matrix, planted vector, Monte Carlo
+    entry) is float64 from here on.  Z/4 is special-cased to the exact complex
+    values +-1, +-i; every other order is complex128.
     """
     order = group.order
     if order == 2:
-        return np.array([1.0 + 0.0j, -1.0 + 0.0j])
+        return np.array([1.0, -1.0])
     if order == 4:
         return np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
     return np.exp(2.0j * np.pi * np.arange(order) / order)

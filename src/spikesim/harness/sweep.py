@@ -19,13 +19,6 @@ from .config import SweepConfig
 from .report import SweepReport, ThetaSummary, TrialRecord, summarize_trials
 
 
-def _planted_vector(group, x, n: int) -> np.ndarray:
-    v = character(group, x) / np.sqrt(n)
-    if real_field(group):
-        return v.real.copy()
-    return v
-
-
 def _run_trial(config: SweepConfig, theta_index: int, theta: float, trial: int) -> TrialRecord:
     group = config.group
     n = config.n
@@ -37,7 +30,7 @@ def _run_trial(config: SweepConfig, theta_index: int, theta: float, trial: int) 
         y = sample_truth_or_haar(group, x, p, noise_rng)
         h = sync_observation_matrix(group, y)
     else:
-        v = _planted_vector(group, x, n)
+        v = character(group, x) / np.sqrt(n)
         noise = sample_goe(n, noise_rng) if real_field(group) else sample_gue(n, noise_rng)
         h = build_spiked(SpikeConfig(theta, v), noise)
     estimate = top_eigenpair(h)

@@ -85,9 +85,11 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
     v = np.asarray(v)
     if v.shape != (n,):
         raise ValidationError(f"signal vector must have shape ({n},), got {v.shape}")
+    if spec_a.field == "R":
+        if np.iscomplexobj(v) and np.abs(v.imag).max() != 0.0:
+            raise ValidationError("real-field ensembles need a real signal vector")
+        v = v.real  # a zero imaginary part must not turn H complex
     spike = SpikeConfig(theta, v)
-    if spec_a.field == "R" and np.iscomplexobj(v) and np.abs(v.imag).max() != 0.0:
-        raise ValidationError("real-field ensembles need a real signal vector")
     check_delocalized(v)
     if trials < 2:
         raise ValidationError("need at least 2 trials for standard errors")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,18 +47,15 @@ class HermitianMatrix:
     """A dense Hermitian matrix, validated on construction.
 
     ``entries`` must satisfy entries[j, i] == conj(entries[i, j]) exactly; use
-    ``symmetrize`` first if the input is only Hermitian up to rounding.  Real
-    dtype marks the real-symmetric case (``is_real``), which downstream code
-    uses to stay in real arithmetic.  Treat instances as immutable.
+    ``symmetrize`` first if the input is only Hermitian up to rounding.  The
+    dtype of ``entries`` is the field: float64 for a real symmetric matrix,
+    complex128 otherwise.  Treat instances as immutable.
     """
 
     entries: np.ndarray
-    is_real: bool = field(init=False)
 
     def __post_init__(self):
-        a = _hermitian_entries(self.entries)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "is_real", a.dtype == np.float64)
+        object.__setattr__(self, "entries", _hermitian_entries(self.entries))
 
     @property
     def n(self) -> int:

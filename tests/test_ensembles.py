@@ -128,7 +128,7 @@ def test_profile_symmetry_and_shape_validation():
 
 def test_goe_exact_symmetry_and_dtype():
     w = sample_goe(50, 0)
-    assert w.is_real
+    assert w.entries.dtype == np.float64
     assert np.array_equal(w.entries, w.entries.T)
 
 
@@ -152,7 +152,7 @@ def test_goe_scalar_variances():
 
 def test_gue_hermitian_complex():
     w = sample_gue(50, 0)
-    assert not w.is_real
+    assert w.entries.dtype == np.complex128
     assert np.array_equal(w.entries, w.entries.conj().T)
     assert np.all(np.diag(w.entries).imag == 0)
 
@@ -216,7 +216,7 @@ def test_complex_field_splits_variance():
 
 def test_complex_rademacher_is_hermitian_not_real():
     w = sample_generalized_wigner(flat_spec(20, "rademacher", field="C"), 1)
-    assert not w.is_real
+    assert w.entries.dtype == np.complex128
     assert np.array_equal(w.entries, w.entries.conj().T)
     assert np.all(np.diag(w.entries).imag == 0)  # diagonal stays real
 
@@ -274,7 +274,7 @@ def test_build_spiked_dtype_paths():
     n = 8
     v = np.ones(n) / np.sqrt(n)
     real = build_spiked(SpikeConfig(theta=1.2, v=v), sample_goe(n, 0))
-    assert real.is_real
+    assert real.entries.dtype == np.float64
     cplx = build_spiked(SpikeConfig(theta=1.2, v=v), sample_gue(n, 0))
     assert cplx.entries.dtype == np.complex128
     # complex signal forces the complex path even over real noise
@@ -287,7 +287,7 @@ def test_build_spiked_dtype_paths():
 def _old_build_spiked(spike, noise):
     """The two-branch sum build_spiked used to write out, as the reference."""
     signal = symmetrize(spike.theta * np.outer(spike.v, np.conj(spike.v)))
-    if noise.is_real and not np.iscomplexobj(signal):
+    if noise.entries.dtype == np.float64 and not np.iscomplexobj(signal):
         return signal + noise.entries
     return signal.astype(np.complex128) + noise.entries.astype(np.complex128)
 
@@ -379,7 +379,7 @@ def test_sync_observation_z2_exactly_real():
     x = haar_sample(Z2, n, stream(14, "x"))
     y = sample_truth_or_haar(Z2, x, 0.5, stream(14, "y"))
     h = sync_observation_matrix(Z2, y)
-    assert h.is_real
+    assert h.entries.dtype == np.float64
     vals = np.unique(np.abs(h.entries))
     assert np.allclose(vals, 1.0 / np.sqrt(n))
     assert np.all(np.diag(h.entries) == 1.0 / np.sqrt(n))
@@ -419,15 +419,21 @@ def test_sync_observation_rejects_broken_input():
             sync_observation_matrix(U1, bad)
 
 
+# the complex128 table Z/2 had before its characters became float64
+OLD_Z2_TABLE = np.array([1.0 + 0.0j, -1.0 + 0.0j])
+
+
 def _full_matrix_embedding(group, y, n):
     """The full-matrix reference from the same triangle: mirror through the
-    inverse (0 is the identity on the diagonal), apply chi/sqrt(n), then make
-    it exactly real (Z/2) or symmetrize."""
+    inverse (0 is the identity on the diagonal), apply chi/sqrt(n) in
+    complex128 (for Z/2 through the old complex table), then copy out the
+    real part (Z/2) or symmetrize."""
     iu = np.triu_indices(n, 1)
     full = np.zeros((n, n), dtype=y.dtype)
     full[iu] = y
     full[iu[1], iu[0]] = inverse(group, y)
-    c = character(group, full) / np.sqrt(n)
+    chi = OLD_Z2_TABLE[full] if group == Z2 else character(group, full)
+    c = chi / np.sqrt(n)
     return c.real.copy() if real_field(group) else symmetrize(c)
 
 

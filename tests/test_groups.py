@@ -59,6 +59,10 @@ def test_compose_inverse_difference():
 
 def test_character_exact_values():
     assert np.array_equal(character_table(Z2), [1.0 + 0j, -1.0 + 0j])
+    # Z/2 characters are real: float64 from the table on, never cast back
+    assert character_table(Z2).dtype == np.float64
+    assert character(Z2, np.array([0, 1, 3])).dtype == np.float64
+    assert character_table(Z4).dtype == np.complex128
     assert np.array_equal(character_table(Z4), [1, 1j, -1, -1j])
     assert character(Z2, 1) == -1.0 + 0.0j
     assert character(Z4, 3) == -1j

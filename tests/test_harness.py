@@ -34,6 +34,7 @@ from spikesim.harness import (
     write_universality_csv,
     write_universality_json,
 )
+from spikesim.harness import sweep as sweep_module
 from spikesim.harness.cli import main
 from spikesim.harness.config import ensemble_text
 from spikesim.harness.report import (
@@ -319,6 +320,35 @@ def test_run_sweep_other_groups():
                                    mc_samples=1000, master_seed=1))
     for rec in circle.records:
         assert 0.0 <= rec.empirical_loss <= 2.0
+
+
+def test_z2_planted_vector_bits_match_complex_table(monkeypatch):
+    # the gaussian-additive planted vector chi(x)/sqrt(n) is float64 from the
+    # character on, with the bits the old complex table [1+0j, -1+0j] gave once
+    # its real part was copied out; H stays float64 too
+    xs, spikes, hs = [], [], []
+    draw, build = sweep_module.haar_sample, sweep_module.build_spiked
+
+    def record_draw(group, size, rng):
+        xs.append(draw(group, size, rng))
+        return xs[-1]
+
+    def record_build(spike, noise):
+        spikes.append(spike)
+        hs.append(build(spike, noise))
+        return hs[-1]
+
+    monkeypatch.setattr(sweep_module, "haar_sample", record_draw)
+    monkeypatch.setattr(sweep_module, "build_spiked", record_build)
+    cfg = tiny_sweep_config(theta_grid=(2.0, 3.0), trials=2, noise_model="gaussian-additive")
+    run_sweep(cfg)
+    assert len(xs) == len(spikes) == 4
+    old_table = np.array([1.0 + 0.0j, -1.0 + 0.0j])
+    for x, spike, h in zip(xs, spikes, hs):
+        want = (old_table[x] / np.sqrt(cfg.n)).real.copy()
+        assert spike.v.dtype == want.dtype == np.float64
+        assert np.array_equal(spike.v.view(np.uint8), want.view(np.uint8))
+        assert h.entries.dtype == np.float64
 
 
 def test_run_sweep_strong_signal_recovers():
@@ -620,6 +650,15 @@ def test_universality_input_validation():
             run_universality_ab(**{**kw, "phi": phi})
     with pytest.raises(ValidationError, match="real signal"):
         run_universality_ab(**{**kw, "v": kw["v"].astype(complex) * 1.0j})
+
+
+def test_universality_complex_typed_real_signal_matches_real_signal():
+    # a real-field pair takes a complex-typed v with zero imaginary part as
+    # its real part: H stays real and the report is the one for the real v
+    kw = small_ab_kwargs()
+    real = run_universality_ab(**kw)
+    typed = run_universality_ab(**{**kw, "v": kw["v"].astype(np.complex128)})
+    assert typed.pairs == real.pairs
 
 
 def test_universality_worker_invariance():

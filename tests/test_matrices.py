@@ -16,12 +16,11 @@ def test_symmetrize_is_exactly_hermitian():
 
 def test_construction_and_flags():
     h = HermitianMatrix(np.array([[2.0, 1.0], [1.0, -1.0]]))
-    assert h.n == 2 and h.is_real
-    assert h.entries.dtype == np.float64
+    assert h.n == 2 and h.entries.dtype == np.float64
     c = HermitianMatrix(np.array([[1.0, 1j], [-1j, 0.0]]))
-    assert not c.is_real and c.entries.dtype == np.complex128
+    assert c.entries.dtype == np.complex128
     i = HermitianMatrix(np.eye(3, dtype=np.int64))
-    assert i.is_real and i.entries.dtype == np.float64
+    assert i.entries.dtype == np.float64
 
 
 def test_rejects_bad_input():

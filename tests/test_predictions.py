@@ -20,6 +20,7 @@ from spikesim import (
     predict_sync_loss,
     z2_mismatch_exact,
 )
+from spikesim import groups
 from spikesim.groups import haar_sample
 from spikesim.predictions import CHUNK
 
@@ -202,3 +203,17 @@ def test_entrywise_validation():
         # psi returning the wrong shape is caught on the first chunk
         predict_entrywise(ones_sampler, lambda a, b: np.real(b)[:10], theta=2.0,
                           field="R", n_samples=5000)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("theta", [1.2, 2.0, 3.0])
+def test_z2_prediction_bits_match_complex_table(monkeypatch, theta, seed):
+    # with the float64 Z/2 table the Monte Carlo runs in real arithmetic and
+    # gives the bits it gave through the old complex table [1+0j, -1+0j]
+    real = predict_sync_loss(Z2, theta, n_samples=20000, seed=seed)
+    table = groups.character_table
+    monkeypatch.setattr(groups, "character_table",
+                        lambda g: np.array([1.0 + 0.0j, -1.0 + 0.0j]) if g == Z2 else table(g))
+    assert character(Z2, 1).dtype == np.complex128
+    old = predict_sync_loss(Z2, theta, n_samples=20000, seed=seed)
+    assert (real.mean.hex(), real.stderr.hex()) == (old.mean.hex(), old.stderr.hex())
