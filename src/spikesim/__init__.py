@@ -17,8 +17,7 @@ from .ensembles import (EnsembleSpec, SpikeConfig, build_spiked, sample_ensemble
 from .spectral import (SpectralEstimate, eigvec_via_resolvent, fix_phase,
                        local_law_residual, overlap_sq, resolvent_solve, secular_root,
                        top_eigenpair)
-from .predictions import (PredictionEstimate, predict_entrywise, predict_sync_loss,
-                          z2_mismatch_exact)
+from .predictions import PredictionEstimate, predict_sync_loss, z2_mismatch_exact
 from .rng import derive_key, stream
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "sample_truth_or_haar", "sync_observation_matrix",
     "SpectralEstimate", "top_eigenpair", "fix_phase", "overlap_sq",
     "resolvent_solve", "secular_root", "eigvec_via_resolvent", "local_law_residual",
-    "PredictionEstimate", "predict_sync_loss", "predict_entrywise",
-    "z2_mismatch_exact",
+    "PredictionEstimate", "predict_sync_loss", "z2_mismatch_exact",
     "derive_key", "stream",
 ]

@@ -148,16 +148,15 @@ def sample_generalized_wigner(spec: EnsembleSpec, seed) -> HermitianMatrix:
     else:
         sig, sig_diag = np.sqrt(prof[upper]), np.sqrt(np.diag(prof))
     if spec.field == "R":
-        w = np.zeros((n, n))
-        w[upper] = _unit_variance_draws(spec.entry_law, rng, m) * sig
-        w = w + w.T
+        above = _unit_variance_draws(spec.entry_law, rng, m) * sig
     else:
-        w = np.zeros((n, n), dtype=np.complex128)
         scale = sig / np.sqrt(2.0)
         re = _unit_variance_draws(spec.entry_law, rng, m) * scale
         im = _unit_variance_draws(spec.entry_law, rng, m) * scale
-        w[upper] = re + 1.0j * im
-        w = w + w.conj().T
+        above = re + 1.0j * im
+    w = np.empty((n, n), dtype=above.dtype)
+    w[upper] = above
+    w.T[upper] = np.conj(above)
     d = _unit_variance_draws(spec.entry_law, rng, n) * sig_diag
     w[np.diag_indices(n)] = d
     return HermitianMatrix(w)

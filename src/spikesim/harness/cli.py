@@ -53,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plot = sub.add_parser("plot", help="render sweep report JSON files to SVG")
     plot.add_argument("reports", nargs="+", metavar="report.json")
-    plot.add_argument("--out", default=None, help="output SVG path")
+    plot.add_argument("--out", default=None,
+                      help="output SVG path (needed for more than one report)")
     return parser
 
 
@@ -122,11 +123,14 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    reports = [load_sweep_report(path) for path in args.reports]
     out = args.out
     if out is None:
+        # beside its one report; an overlay has no report of its own
+        if len(args.reports) > 1:
+            raise ValidationError("plotting more than one report needs --out")
         base, _ = os.path.splitext(args.reports[0])
         out = base + ".svg"
+    reports = [load_sweep_report(path) for path in args.reports]
     write_sweep_svg(reports, out)
     print(f"wrote {out}")
     return 0

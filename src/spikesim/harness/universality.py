@@ -7,6 +7,7 @@ paired experiment and reports per-pair means with standard errors.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -58,12 +59,9 @@ def check_delocalized(v: np.ndarray) -> None:
             f"n^(-1/4) = {n ** -0.25:.4f}")
 
 
-def _pair_stats(group_free_vec: np.ndarray, pairs, phi, n: int) -> np.ndarray:
-    v = group_free_vec
-    idx_i = np.array([p[0] for p in pairs])
-    idx_j = np.array([p[1] for p in pairs])
-    raw = n * np.real(v[idx_i] * np.conj(v[idx_j]))
-    return phi(raw)
+def _pair_stats(v: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray, phi,
+                n: int) -> np.ndarray:
+    return phi(n * np.real(v[idx_i] * np.conj(v[idx_j])))
 
 
 def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarray,
@@ -93,10 +91,16 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
     check_delocalized(v)
     if trials < 2:
         raise ValidationError("need at least 2 trials for standard errors")
-    pairs = [(int(i), int(j)) for i, j in pairs]
+    try:
+        pairs = [(operator.index(i), operator.index(j)) for i, j in pairs]
+    except TypeError:
+        raise ValidationError("index pairs must be pairs of integers") from None
+    if not pairs:
+        raise ValidationError("need at least one index pair")
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValidationError(f"invalid index pair ({i}, {j}) for n = {n}")
+    idx_i, idx_j = np.array(pairs).T
     if phi not in PHI_FUNCS:
         raise ValidationError(f"unknown statistic {phi!r}")
 
@@ -104,7 +108,7 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
         label, spec, t = task
         w = sample_ensemble(spec, stream(seed, "universality", label, t))
         est = top_eigenpair(build_spiked(spike, w))
-        return _pair_stats(est.eigenvector, pairs, PHI_FUNCS[phi], n)
+        return _pair_stats(est.eigenvector, idx_i, idx_j, PHI_FUNCS[phi], n)
 
     tasks = [(label, spec, t) for label, spec in (("a", spec_a), ("b", spec_b))
              for t in range(trials)]

@@ -50,10 +50,6 @@ class PredictionEstimate:
     theta: float
     label: str
 
-    def __post_init__(self):
-        if self.n_samples < MIN_SAMPLES:
-            raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {self.n_samples}")
-
 
 def _check_supercritical(theta: float) -> float:
     theta = float(theta)
@@ -116,44 +112,6 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
 
     mean, err = _chunked_mc(draw, int(n_samples), int(seed))
     label = f"{group} {default_loss(group)} {rounding_rule(group)}"
-    return PredictionEstimate(mean=mean, stderr=err, n_samples=int(n_samples),
-                              theta=theta, label=label)
-
-
-def predict_entrywise(signal_sampler, psi, theta: float, field: str = "C",
-                      n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                      label: str = "entrywise") -> PredictionEstimate:
-    """Limiting average of a bounded test function of (true, estimated) entries.
-
-    ``signal_sampler(rng, m)`` draws m scalars from the signal-coordinate
-    distribution (unit-modulus values in the synchronization case, but any
-    bounded law is allowed).  ``psi(first, second)`` maps the true product
-    v * conj(w) and the modeled estimate
-    (rho*v + tau*g)(rho*conj(w) + tau*h) to real values, vectorized.
-    """
-    theta = _check_supercritical(theta)
-    if field not in ("R", "C"):
-        raise ValidationError(f"field must be 'R' or 'C', got {field!r}")
-    if n_samples < MIN_SAMPLES:
-        raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError("seed must be an int")
-    rho = math.sqrt(overlap_limit(theta))
-    tau = math.sqrt(residual_variance_limit(theta))
-
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        v = np.asarray(signal_sampler(rng, m))
-        w = np.asarray(signal_sampler(rng, m))
-        g = _gaussians(rng, m, field)
-        h = _gaussians(rng, m, field)
-        first = v * np.conj(w)
-        second = (rho * v + tau * g) * (rho * np.conj(w) + tau * h)
-        vals = np.asarray(psi(first, second), dtype=np.float64)
-        if vals.shape != (m,):
-            raise ValidationError("psi must return one real value per sample")
-        return vals
-
-    mean, err = _chunked_mc(draw, int(n_samples), int(seed))
     return PredictionEstimate(mean=mean, stderr=err, n_samples=int(n_samples),
                               theta=theta, label=label)
 

@@ -25,9 +25,10 @@ from spikesim import (
     symmetrize,
     sync_observation_matrix,
 )
-from spikesim.ensembles import ENTRY_LAWS, GAMMA_W
+from spikesim.ensembles import ENTRY_LAWS, GAMMA_W, _unit_variance_draws
 from spikesim.harness.universality import check_moment_match
 from spikesim.groups import haar_sample, real_field
+from spikesim.rng import as_generator
 
 Z2 = parse_group("Z/2")
 Z5 = parse_group("Z/5")
@@ -497,6 +498,56 @@ def test_flat_moment_profile_matches_explicit_profile(law, field):
     check_moment_match(classical, explicit)
     check_moment_match(explicit, classical)
     check_moment_match(classical, flat)
+
+
+def _folded_wigner(spec, seed):
+    """The sampler as it was before it mirrored its draws: the upper triangle
+    is written into zeros and folded with its (conjugate) transpose."""
+    rng = as_generator(seed)
+    n = spec.n
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    m = n * (n - 1) // 2
+    prof = spec.variance_profile
+    if prof is None:
+        sig = sig_diag = np.sqrt(1.0 / n)
+    else:
+        sig, sig_diag = np.sqrt(prof[upper]), np.sqrt(np.diag(prof))
+    if spec.field == "R":
+        w = np.zeros((n, n))
+        w[upper] = _unit_variance_draws(spec.entry_law, rng, m) * sig
+        w = w + w.T
+    else:
+        w = np.zeros((n, n), dtype=np.complex128)
+        scale = sig / np.sqrt(2.0)
+        re = _unit_variance_draws(spec.entry_law, rng, m) * scale
+        im = _unit_variance_draws(spec.entry_law, rng, m) * scale
+        w[upper] = re + 1.0j * im
+        w = w + w.conj().T
+    w[np.diag_indices(n)] = _unit_variance_draws(spec.entry_law, rng, n) * sig_diag
+    return w
+
+
+def _circulant_profile(n):
+    lag = np.abs(np.arange(n)[None, :] - np.arange(n)[:, None])
+    weights = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    prof = weights[np.minimum(lag, n - lag)]
+    return prof / prof[0].sum()
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("law", ENTRY_LAWS)
+def test_mirrored_wigner_matches_folded_reference(law, field):
+    # mirroring the draws gives the fold's bytes; the fold differs only on a
+    # draw of exactly -0.0, which it turned into +0.0
+    specs = [EnsembleSpec(kind="generalized-wigner", n=n, entry_law=law, field=field)
+             for n in (1, 2, 7, 60)]
+    specs.append(EnsembleSpec(kind="generalized-wigner", n=12, entry_law=law, field=field,
+                              variance_profile=_circulant_profile(12)))
+    for spec in specs:
+        for seed in (0, 41):
+            got = sample_generalized_wigner(spec, seed).entries
+            want = _folded_wigner(spec, seed)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_given_profile_is_a_read_only_copy():

@@ -35,6 +35,7 @@ from spikesim.harness import (
     write_universality_json,
 )
 from spikesim.harness import sweep as sweep_module
+from spikesim.harness import universality as universality_module
 from spikesim.harness.cli import main
 from spikesim.harness.config import ensemble_text
 from spikesim.harness.report import (
@@ -652,6 +653,25 @@ def test_universality_input_validation():
         run_universality_ab(**{**kw, "v": kw["v"].astype(complex) * 1.0j})
 
 
+def test_universality_pair_list_checked_before_any_trial(monkeypatch):
+    kw = small_ab_kwargs()
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the pair list was checked")
+
+    monkeypatch.setattr(universality_module, "sample_ensemble", no_trial)
+    with pytest.raises(ValidationError, match="at least one index pair"):
+        run_universality_ab(**{**kw, "pairs": []})
+
+
+def test_universality_refuses_non_integral_index():
+    # a non-integral index is refused, never truncated: (0.5, 2) is not (0, 2)
+    kw = small_ab_kwargs()
+    for pairs in ([(0.5, 2)], [(0, np.float64(2.5))], [(1, 2), ("3", 4)]):
+        with pytest.raises(ValidationError, match="pairs of integers"):
+            run_universality_ab(**{**kw, "pairs": pairs})
+
+
 def test_universality_complex_typed_real_signal_matches_real_signal():
     # a real-field pair takes a complex-typed v with zero imaginary part as
     # its real part: H stays real and the report is the one for the real v
@@ -827,6 +847,29 @@ def test_cli_plot_matches_sweep_svg(tmp_path):
     assert main(["plot", os.path.join(out_dir, "report.json"), "--out", replot]) == 0
     original = Path(out_dir, "report.svg").read_bytes()
     assert Path(replot).read_bytes() == original
+
+
+def test_cli_plot_overlay_needs_out(tmp_path, capsys):
+    # the default output sits beside a single report; an overlay of several
+    # would overwrite the first report's own plot, so it must name --out
+    cfg_path = write_config(tmp_path, SWEEP_TEXT)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out_dir, seed in ((a, "1"), (b, "2")):
+        assert main(["sweep", cfg_path, "--seed", seed, "--out-dir", str(out_dir)]) == 0
+    before = {p: p.read_bytes() for p in (a / "report.svg", b / "report.svg")}
+    capsys.readouterr()
+    assert main(["plot", str(a / "report.json"), str(b / "report.json")]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in before} == before
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b)) == ["report.csv", "report.json",
+                                                              "report.svg"]
+    # a single report keeps its default, which rewrites the same bytes
+    assert main(["plot", str(a / "report.json")]) == 0
+    assert (a / "report.svg").read_bytes() == before[a / "report.svg"]
+    overlay = tmp_path / "overlay.svg"
+    assert main(["plot", str(a / "report.json"), str(b / "report.json"),
+                 "--out", str(overlay)]) == 0
+    assert overlay.read_bytes() not in before.values()
 
 
 def test_cli_universality(tmp_path, capsys):

@@ -14,14 +14,11 @@ from scipy import integrate
 from spikesim import (
     ValidationError,
     character,
-    overlap_limit,
     parse_group,
-    predict_entrywise,
     predict_sync_loss,
     z2_mismatch_exact,
 )
 from spikesim import groups
-from spikesim.groups import haar_sample
 from spikesim.predictions import CHUNK
 
 Z2 = parse_group("Z/2")
@@ -148,61 +145,49 @@ def test_mc_circle_loss_in_range():
     assert far.mean < est.mean  # stronger signal, smaller loss
 
 
-# ------------------------------------------------------------- entrywise form
+# ------------------------------------------- independent complex-field oracles
+# The modeled entry z = (rho chi(x) + tau g)(rho conj(chi(y)) + tau conj(h)) is
+# drawn here with numpy alone; only the rounding and scoring rules are restated,
+# each by a route other than the package's.
 
-def ones_sampler(rng, m):
-    return np.ones(m)
-
-
-def test_entrywise_constant_function():
-    est = predict_entrywise(ones_sampler, lambda a, b: np.full(a.shape, 0.7),
-                            theta=2.0, field="R", n_samples=5000, seed=9)
-    assert est.mean == pytest.approx(0.7, abs=1e-15)
-    assert est.stderr == 0.0
-    assert est.label == "entrywise"
-
-
-def test_entrywise_mean_recovers_overlap():
-    # with v = w = 1 the modeled entry has expectation rho^2
-    theta = 2.0
-    est = predict_entrywise(ones_sampler, lambda a, b: np.real(b),
-                            theta=theta, field="R", n_samples=400000, seed=10)
-    assert abs(est.mean - overlap_limit(theta)) <= 4.0 * est.stderr
+def oracle_entries(rng, theta, chi_x, chi_y):
+    rho, tau = math.sqrt(1.0 - theta ** -2), 1.0 / theta
+    m = chi_x.size
+    g = (rng.standard_normal(m) + 1.0j * rng.standard_normal(m)) / math.sqrt(2.0)
+    h = (rng.standard_normal(m) + 1.0j * rng.standard_normal(m)) / math.sqrt(2.0)
+    return (rho * chi_x + tau * g) * (rho * np.conj(chi_y) + tau * np.conj(h))
 
 
-def test_entrywise_consistent_with_sync_path():
-    # encode the synchronization loss through the generic interface and
-    # compare against the dedicated sampler
-    from spikesim import loss_values, round_to_group
-
-    theta = 2.0
-
-    def char_sampler(rng, m):
-        return character(Z5, haar_sample(Z5, m, rng))
-
-    def psi(first, second):
-        truth = round_to_group(Z5, first)  # decode is exact on characters
-        decoded = round_to_group(Z5, second)
-        return loss_values(Z5, truth, decoded)
-
-    a = predict_entrywise(char_sampler, psi, theta=theta, field="C",
-                          n_samples=300000, seed=11, label="z5 via psi")
-    b = predict_sync_loss(Z5, theta, n_samples=300000, seed=12)
-    assert a.label == "z5 via psi"
-    assert abs(a.mean - b.mean) <= 4.0 * math.hypot(a.stderr, b.stderr)
+def oracle_mean(vals):
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
 
-def test_entrywise_validation():
-    with pytest.raises(ValidationError):
-        predict_entrywise(ones_sampler, lambda a, b: np.real(b), theta=2.0, field="Q",
-                          n_samples=5000)
-    with pytest.raises(ValueError):
-        predict_entrywise(ones_sampler, lambda a, b: np.real(b), theta=0.9, field="R",
-                          n_samples=5000)
-    with pytest.raises(ValidationError):
-        # psi returning the wrong shape is caught on the first chunk
-        predict_entrywise(ones_sampler, lambda a, b: np.real(b)[:10], theta=2.0,
-                          field="R", n_samples=5000)
+def test_z5_prediction_matches_independent_oracle():
+    # round z to the character chi_k = exp(2 pi i k / 5) with the largest
+    # Re(z conj(chi_k)), rather than round_to_group's angle/ceil rule
+    theta, m = 2.0, 300000
+    rng = np.random.default_rng(2019)
+    x = rng.integers(0, 5, m)
+    y = rng.integers(0, 5, m)
+    table = np.exp(2.0j * np.pi * np.arange(5) / 5)
+    z = oracle_entries(rng, theta, table[x], table[y])
+    decoded = np.argmax(np.real(z[:, None] * np.conj(table)[None, :]), axis=1)
+    mean, err = oracle_mean((decoded != (x - y) % 5).astype(np.float64))
+    est = predict_sync_loss(Z5, theta, n_samples=m, seed=12)
+    assert abs(mean - est.mean) <= 4.0 * math.hypot(err, est.stderr)
+
+
+def test_u1_prediction_matches_independent_oracle():
+    # one-minus-cos against the phase of z, as 1 - Re(z exp(-i(x - y))) / |z|
+    # with no angle wrapping
+    theta, m = 2.0, 300000
+    rng = np.random.default_rng(2020)
+    x = rng.uniform(0.0, 2.0 * np.pi, m)
+    y = rng.uniform(0.0, 2.0 * np.pi, m)
+    z = oracle_entries(rng, theta, np.exp(1.0j * x), np.exp(1.0j * y))
+    mean, err = oracle_mean(1.0 - np.real(z * np.exp(-1.0j * (x - y))) / np.abs(z))
+    est = predict_sync_loss(U1, theta, n_samples=m, seed=13)
+    assert abs(mean - est.mean) <= 4.0 * math.hypot(err, est.stderr)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
