@@ -4,9 +4,9 @@ limit predictions for group synchronization in the weak-recovery regime."""
 __version__ = "0.1.0"
 
 from .errors import BracketError, SingularShiftError, SpikesimError, ValidationError
-from .groups import (CircleGroup, CyclicGroup, average_loss, canonicalize, character,
-                     character_table, difference, estimate_group_matrix, haar_sample,
-                     inverse, loss_values, pairwise_matrix, parse_group, round_to_group)
+from .groups import (CircleGroup, CyclicGroup, average_loss, character, difference,
+                     estimate_group_matrix, haar_sample, loss_values, pairwise_matrix,
+                     parse_group, round_to_group)
 from .limits import (outlier_eigenvalue, overlap_limit, residual_variance_limit,
                      semicircle_cauchy_transform, semicircle_cauchy_transform_deriv,
                      semicircle_density)
@@ -23,9 +23,8 @@ from .rng import derive_key, stream
 __all__ = [
     "__version__",
     "SpikesimError", "ValidationError", "SingularShiftError", "BracketError",
-    "CyclicGroup", "CircleGroup", "parse_group", "canonicalize",
-    "inverse", "difference", "haar_sample", "character",
-    "character_table", "pairwise_matrix", "round_to_group",
+    "CyclicGroup", "CircleGroup", "parse_group", "difference",
+    "haar_sample", "character", "pairwise_matrix", "round_to_group",
     "estimate_group_matrix", "loss_values", "average_loss",
     "outlier_eigenvalue", "overlap_limit", "residual_variance_limit",
     "semicircle_density", "semicircle_cauchy_transform",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .groups import CyclicGroup, Group, character, difference, haar_sample, inverse
+from .groups import CyclicGroup, Group, character, difference, haar_sample
 from .matrices import HermitianMatrix, symmetrize
 from .rng import as_generator
 
@@ -222,11 +222,12 @@ def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
     if x.ndim != 1 or n < 2:
         raise ValidationError("x must be a vector of length >= 2")
     rng = as_generator(seed)
-    iu = np.triu_indices(n, 1)
-    m = iu[0].size
+    m = n * (n - 1) // 2
     u = rng.random(m)
     haar = haar_sample(group, m, rng)
-    truth = difference(group, x[iu[0]], x[iu[1]])
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    truth = difference(group, np.broadcast_to(x[:, None], (n, n))[upper],
+                       np.broadcast_to(x, (n, n))[upper])
     return np.where(u < p, truth, haar)
 
 
@@ -269,6 +270,6 @@ def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
     c[upper] = above
     del above  # each n(n-1)/2 temporary is freed once it is copied into c
     # c.T[upper] runs over (j, i) for i < j in the same row-major pair order
-    c.T[upper] = character(group, inverse(group, y)) / root_n
+    c.T[upper] = character(group, difference(group, 0, y)) / root_n
     np.fill_diagonal(c, 1.0 / root_n)
     return HermitianMatrix(symmetrize(c))

@@ -85,21 +85,10 @@ def _wrap_angle(x):
     return np.where(y == TWO_PI, 0.0, y)
 
 
-def canonicalize(group: Group, x):
-    """Map representatives to canonical form (residues in [0, L), angles in [0, 2*pi))."""
-    if isinstance(group, CyclicGroup):
-        return np.mod(np.asarray(x, dtype=np.int64), group.order)
-    return _wrap_angle(np.asarray(x, dtype=np.float64))
-
-
-def inverse(group: Group, x):
-    if isinstance(group, CyclicGroup):
-        return np.mod(-np.asarray(x, dtype=np.int64), group.order)
-    return _wrap_angle(-np.asarray(x, dtype=np.float64))
-
-
 def difference(group: Group, x, y):
-    """x composed with the inverse of y."""
+    """x composed with the inverse of y, in canonical form (residues in
+    [0, L), angles in [0, 2*pi)): difference(g, x, 0) is the canonical form
+    of x and difference(g, 0, y) the inverse of y."""
     if isinstance(group, CyclicGroup):
         return np.mod(np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64), group.order)
     return _wrap_angle(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
@@ -182,13 +171,11 @@ def estimate_group_matrix(group: Group, v_hat: np.ndarray) -> np.ndarray:
 def loss_values(group: Group, truth, estimate) -> np.ndarray:
     """Elementwise loss between arrays of group elements.
 
-    Cyclic: mismatch, 1.0 where the canonical residues differ.  Circle:
+    Cyclic: mismatch, 1.0 where truth differs from estimate mod L.  Circle:
     1 - cos of the angle difference.
     """
     if isinstance(group, CyclicGroup):
-        a = canonicalize(group, truth)
-        b = canonicalize(group, estimate)
-        return (a != b).astype(np.float64)
+        return (difference(group, truth, estimate) != 0).astype(np.float64)
     t = np.asarray(truth, dtype=np.float64)
     e = np.asarray(estimate, dtype=np.float64)
     return 1.0 - np.cos(t - e)

@@ -122,6 +122,14 @@ def from_json(cls, data: dict, keys: dict[str, str] | None = None, **given):
     return cls(**values, **given)
 
 
+def _check_ints(config) -> None:
+    """Read every int field of ``config`` as a loaded report would, so a value
+    the report could not be read back with (1.5, True) is refused here."""
+    for f in fields(config):
+        if f.type == "int":
+            object.__setattr__(config, f.name, echoed_int(getattr(config, f.name), f.name))
+
+
 def _echo(config) -> dict:
     """A config as plain data for report embedding.
 
@@ -154,6 +162,7 @@ class SweepConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        _check_ints(self)
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.trials < 1:
@@ -245,6 +254,7 @@ class UniversalityConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        _check_ints(self)
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.trials < 2:

@@ -10,10 +10,9 @@ from spikesim import (
     SpikeConfig,
     ValidationError,
     build_spiked,
-    canonicalize,
     character,
     derive_key,
-    inverse,
+    difference,
     pairwise_matrix,
     parse_group,
     sample_ensemble,
@@ -372,7 +371,29 @@ def test_truth_or_haar_returns_upper_triangle():
         y = sample_truth_or_haar(group, x, 0.4, stream(13, "y", str(group)))
         assert y.shape == (n * (n - 1) // 2,)
         assert y.dtype == (np.float64 if group is U1 else np.int64)
-        assert np.array_equal(canonicalize(group, y), y)
+        assert np.array_equal(difference(group, y, 0), y)
+
+
+def _triu_truth_or_haar(group, x, p, rng):
+    """sample_truth_or_haar as it was with x_i and x_j gathered through
+    np.triu_indices instead of the boolean upper mask."""
+    iu = np.triu_indices(x.size, 1)
+    m = iu[0].size
+    u = rng.random(m)
+    haar = haar_sample(group, m, rng)
+    return np.where(u < p, difference(group, x[iu[0]], x[iu[1]]), haar)
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(order) for order in (2, 3, 4, 5, 7, 24)] + [U1],
+                         ids=lambda g: str(g).replace("/", ""))
+def test_truth_or_haar_matches_triu_indices_reference(group):
+    for n in (2, 3, 7, 60, 500):
+        x = haar_sample(group, n, stream(19, "x", str(group), n))
+        for p in (0.0, 0.4, 1.0):
+            got = sample_truth_or_haar(group, x, p, stream(19, "y", str(group), n))
+            want = _triu_truth_or_haar(group, x, p, stream(19, "y", str(group), n))
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_sync_observation_z2_exactly_real():
@@ -424,6 +445,14 @@ def test_sync_observation_rejects_broken_input():
 OLD_Z2_TABLE = np.array([1.0 + 0.0j, -1.0 + 0.0j])
 
 
+def _old_inverse(group, y):
+    """The group inverse as groups.py once computed it apart from ``difference``."""
+    if isinstance(group, CyclicGroup):
+        return np.mod(-np.asarray(y, dtype=np.int64), group.order)
+    a = np.mod(-np.asarray(y, dtype=np.float64), 2.0 * np.pi)
+    return np.where(a == 2.0 * np.pi, 0.0, a)
+
+
 def _full_matrix_embedding(group, y, n):
     """The full-matrix reference from the same triangle: mirror through the
     inverse (0 is the identity on the diagonal), apply chi/sqrt(n) in
@@ -432,7 +461,7 @@ def _full_matrix_embedding(group, y, n):
     iu = np.triu_indices(n, 1)
     full = np.zeros((n, n), dtype=y.dtype)
     full[iu] = y
-    full[iu[1], iu[0]] = inverse(group, y)
+    full[iu[1], iu[0]] = _old_inverse(group, y)
     chi = OLD_Z2_TABLE[full] if group == Z2 else character(group, full)
     c = chi / np.sqrt(n)
     return c.real.copy() if real_field(group) else symmetrize(c)

@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spikesim.errors import ValidationError
-from spikesim.groups import (CircleGroup, CyclicGroup, average_loss, canonicalize,
-                             character, character_table, difference,
-                             estimate_group_matrix, haar_sample, inverse, loss_values, pairwise_matrix, parse_group,
+from spikesim.groups import (CircleGroup, CyclicGroup, average_loss, character,
+                             character_table, difference, estimate_group_matrix,
+                             haar_sample, loss_values, pairwise_matrix, parse_group,
                              round_to_group)
 from spikesim.rng import stream
 
@@ -15,6 +15,42 @@ Z4 = CyclicGroup(4)
 Z5 = CyclicGroup(5)
 U1 = CircleGroup()
 TWO_PI = 2 * np.pi
+
+
+# Test-side copies of the canonical form, inverse and mismatch that groups.py
+# once computed on their own; difference(g, x, 0), difference(g, 0, x) and
+# loss_values must reproduce them bit for bit.
+
+def _wrap(a):
+    y = np.mod(a, TWO_PI)
+    return np.where(y == TWO_PI, 0.0, y)
+
+
+def _canonicalize(group, x):
+    if isinstance(group, CyclicGroup):
+        return np.mod(np.asarray(x, dtype=np.int64), group.order)
+    return _wrap(np.asarray(x, dtype=np.float64))
+
+
+def _inverse(group, x):
+    if isinstance(group, CyclicGroup):
+        return np.mod(-np.asarray(x, dtype=np.int64), group.order)
+    return _wrap(-np.asarray(x, dtype=np.float64))
+
+
+def _mismatch(group, truth, estimate):
+    return (_canonicalize(group, truth) != _canonicalize(group, estimate)).astype(np.float64)
+
+
+def _compose(group, x, y):
+    """x composed with y, written as x times the inverse of y^{-1}."""
+    return difference(group, x, difference(group, 0, y))
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).dtype == np.asarray(want).dtype
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
 
 
 def test_parse_group():
@@ -39,22 +75,54 @@ def test_identity_and_canonicalize():
     for group, x in ((Z5, 3), (U1, 2.5)):
         assert difference(group, x, x) == 0
         assert character(group, 0) == 1.0
-    assert canonicalize(Z5, -2) == 3
-    assert np.array_equal(canonicalize(Z5, [5, 6, -1]), [0, 1, 4])
-    assert canonicalize(U1, TWO_PI) == 0.0
-    assert canonicalize(U1, -1e-20) == 0.0  # np.mod would return exactly 2*pi here
-    assert 0.0 <= canonicalize(U1, 123.456) < TWO_PI
+    # difference(g, x, 0) is the canonical form of x
+    assert difference(Z5, -2, 0) == 3
+    assert np.array_equal(difference(Z5, [5, 6, -1], 0), [0, 1, 4])
+    assert difference(U1, TWO_PI, 0) == 0.0
+    assert difference(U1, -1e-20, 0) == 0.0  # np.mod would return exactly 2*pi here
+    assert 0.0 <= difference(U1, 123.456, 0) < TWO_PI
 
 
 def test_compose_inverse_difference():
-    # x composed with y is difference(x, inverse(y))
-    assert difference(Z5, 3, inverse(Z5, 4)) == 2
-    assert inverse(Z5, 2) == 3
-    assert inverse(Z5, 0) == 0
+    # difference(g, 0, y) is the inverse of y; x composed with y is
+    # difference(x, y^{-1})
+    assert _compose(Z5, 3, 4) == 2
+    assert difference(Z5, 0, 2) == 3
+    assert difference(Z5, 0, 0) == 0
     assert difference(Z5, 1, 3) == 3
     a, b = 1.0, 5.0
     assert difference(U1, a, b) == pytest.approx(TWO_PI + a - b)
-    assert difference(U1, inverse(U1, 2.5), inverse(U1, 2.5)) == 0.0
+    assert difference(U1, difference(U1, 0, 2.5), difference(U1, 0, 2.5)) == 0.0
+
+
+_CYCLIC = [CyclicGroup(order) for order in range(2, 25)]
+# -0.0, 2*pi, tiny negatives and subnormal-adjacent angles are where np.mod
+# alone would leave a representative outside [0, 2*pi)
+_ANGLES = np.array([0.0, -0.0, TWO_PI, -TWO_PI, -1e-20, 1e-20, 1e-300, -1e-300,
+                    np.pi, -np.pi, 2.5, -2.5, 123.456, -123.456, 7.0, 1e6])
+
+
+@pytest.mark.parametrize("group", _CYCLIC, ids=str)
+def test_difference_reproduces_old_canonicalize_and_inverse_cyclic(group):
+    order = group.order
+    reps = np.arange(-3 * order, 3 * order + 1, dtype=np.int64)
+    for x in (reps, reps[: 2 * order].reshape(2, order), reps.tolist()):
+        assert _same_bits(difference(group, x, 0), _canonicalize(group, x))
+        assert _same_bits(difference(group, 0, x), _inverse(group, x))
+    for x in (-order - 1, -1, 0, order - 1, order, 5 * order + 2):
+        assert _same_bits(difference(group, x, 0), _canonicalize(group, x))
+        assert _same_bits(difference(group, 0, x), _inverse(group, x))
+
+
+def test_difference_reproduces_old_canonicalize_and_inverse_circle():
+    for x in (_ANGLES, _ANGLES.reshape(4, 4), _ANGLES.tolist()):
+        assert _same_bits(difference(U1, x, 0), _canonicalize(U1, x))
+        assert _same_bits(difference(U1, 0, x), _inverse(U1, x))
+    for x in _ANGLES.tolist():
+        assert _same_bits(difference(U1, x, 0), _canonicalize(U1, x))
+        assert _same_bits(difference(U1, 0, x), _inverse(U1, x))
+    assert difference(U1, 0, -0.0) == 0.0 and difference(U1, 0, TWO_PI) == 0.0
+    assert difference(U1, 0, -1e-20) == 1e-20
 
 
 def test_character_exact_values():
@@ -76,7 +144,7 @@ def test_character_exact_values():
 @given(st.integers(2, 24), st.integers(-50, 50), st.integers(-50, 50))
 def test_character_is_a_homomorphism_cyclic(order, x, y):
     g = CyclicGroup(order)
-    lhs = character(g, difference(g, x, inverse(g, y)))
+    lhs = character(g, _compose(g, x, y))
     assert abs(lhs - character(g, x) * character(g, y)) <= 1e-12
 
 
@@ -86,7 +154,7 @@ def test_character_matches_canonical_table_lookup(order, shape, data):
     g = CyclicGroup(order)
     x = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-3 * order, 3 * order)))
     got = character(g, x)
-    want = character_table(g)[canonicalize(g, x)]
+    want = character_table(g)[_canonicalize(g, x)]
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
     assert np.array_equal(character(g, x.tolist()), want)  # Python ints and lists
@@ -94,7 +162,7 @@ def test_character_matches_canonical_table_lookup(order, shape, data):
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_character_is_a_homomorphism_circle(x, y):
-    lhs = character(U1, difference(U1, x, inverse(U1, y)))
+    lhs = character(U1, _compose(U1, x, y))
     assert abs(lhs - character(U1, x) * character(U1, y)) <= 1e-12
 
 
@@ -111,7 +179,7 @@ def test_pairwise_matrix_small():
     m = pairwise_matrix(Z5, [0, 1, 3])
     assert np.array_equal(m, [[0, 4, 2], [1, 0, 3], [3, 2, 0]])
     # group-Hermitian: M[j, i] is the inverse of M[i, j], identity diagonal
-    assert np.array_equal(m.T, inverse(Z5, m))
+    assert np.array_equal(m.T, difference(Z5, 0, m))
     a = pairwise_matrix(U1, [0.5, 1.25])
     assert a[0, 1] == pytest.approx(TWO_PI - 0.75)
     with pytest.raises(ValidationError):
@@ -125,7 +193,7 @@ def test_pairwise_cocycle(xs):
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert difference(Z5, m[i, j], inverse(Z5, m[j, k])) == m[i, k]
+                assert _compose(Z5, m[i, j], m[j, k]) == m[i, k]
 
 
 def test_round_cyclic_basic():
@@ -222,7 +290,27 @@ def test_loss_values():
     assert np.array_equal(loss_values(Z5, [0, 1, 2], [0, 2, 2]), [0.0, 1.0, 0.0])
     assert loss_values(U1, 1.0, 1.0) == 0.0
     assert loss_values(U1, 0.0, np.pi) == pytest.approx(2.0)
-    assert loss_values(Z5, -1, 4) == 0.0  # canonicalized before comparing
+    assert loss_values(Z5, -1, 4) == 0.0  # compared mod L
+    assert loss_values(Z5, 7, 2) == 0.0 and loss_values(Z5, 7, 3) == 1.0
+
+
+@pytest.mark.parametrize("group", _CYCLIC, ids=str)
+def test_loss_values_reproduces_old_mismatch(group):
+    # a nonzero difference is the old canonicalize-both-then-compare mismatch,
+    # bit for bit: on Haar pairs, on representatives outside [0, L) and on scalars
+    order = group.order
+    rng = stream(21, "loss", order)
+    t = haar_sample(group, (50, 50), rng)
+    e = np.where(rng.random((50, 50)) < 0.5, t, haar_sample(group, (50, 50), rng))
+    assert _same_bits(loss_values(group, t, e), _mismatch(group, t, e))
+    shifts = rng.integers(-3, 4, size=(2, 50, 50)) * order
+    assert _same_bits(loss_values(group, t + shifts[0], e + shifts[1]), _mismatch(group, t, e))
+    reps = np.arange(-2 * order, 2 * order + 1)
+    a, b = np.meshgrid(reps, reps)
+    assert _same_bits(loss_values(group, a, b), _mismatch(group, a, b))
+    assert _same_bits(loss_values(group, a.tolist(), b.tolist()), _mismatch(group, a, b))
+    for x, y in ((-1, order - 1), (order, 0), (-order, order), (1, order + 2), (3, 3)):
+        assert _same_bits(loss_values(group, x, y), _mismatch(group, x, y))
 
 
 def test_average_loss_basics():
@@ -241,11 +329,11 @@ def test_average_loss_translation_invariance():
     g = Z5
     x = haar_sample(g, 20, stream(8, "shift"))
     m1 = pairwise_matrix(g, x)
-    m2 = pairwise_matrix(g, difference(g, x, inverse(g, 2)))
+    m2 = pairwise_matrix(g, _compose(g, x, 2))
     assert np.array_equal(m1, m2)
     a = haar_sample(U1, 20, stream(8, "shift-u1"))
     assert np.allclose(np.cos(pairwise_matrix(U1, a) -
-                              pairwise_matrix(U1, difference(U1, a, inverse(U1, 1.234)))),
+                              pairwise_matrix(U1, _compose(U1, a, 1.234))),
                       1.0, atol=1e-12)
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from spikesim import EnsembleSpec, ValidationError, parse_group
 from spikesim.ensembles import ENTRY_LAWS
+from spikesim.groups import default_loss, rounding_rule
 from spikesim.harness import (
     SweepConfig,
     UniversalityConfig,
@@ -278,6 +279,31 @@ def test_universality_config_validation():
             UniversalityConfig(**{**good, key: val})
 
 
+def _universality_config(**overrides):
+    return UniversalityConfig(**{**dict(ensemble_a="goe", ensemble_b="goe", n=20, theta=2.0,
+                                        trials=2, master_seed=0), **overrides})
+
+
+@pytest.mark.parametrize("make, cls, names", [
+    (tiny_sweep_config, SweepConfig, ("n", "trials", "mc_samples", "master_seed")),
+    (_universality_config, UniversalityConfig, ("n", "n_pairs", "trials", "master_seed")),
+], ids=["sweep", "universality"])
+def test_config_int_fields_refuse_non_integers(make, cls, names):
+    # an int field built from Python takes what a loaded report takes: 60.0 is
+    # 60, while 1.5, True and "60" are refused rather than truncated or run,
+    # so every config that runs writes a report that loads
+    assert tuple(f.name for f in fields(cls) if f.type == "int") == names
+    base = make()
+    for name in names:
+        value = getattr(base, name)
+        for bad in (value + 0.5, True, str(value), None):
+            with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+                make(**{name: bad})
+        cfg = make(**{name: float(value)})
+        assert cfg == base and type(getattr(cfg, name)) is int
+        assert type(cfg.echo()[name]) is int
+
+
 # -------------------------------------------------------------------- sweeps
 
 def test_run_sweep_structure():
@@ -297,8 +323,12 @@ def test_run_sweep_structure():
     assert report.summaries[1].empirical_mean <= report.summaries[0].empirical_mean
 
 
-def test_run_sweep_worker_invariance(tmp_path):
-    cfg = tiny_sweep_config()
+@pytest.mark.parametrize("noise_model", ["truth-or-haar", "gaussian-additive"])
+@pytest.mark.parametrize("group", ["Z/2", "Z/5", "U(1)"], ids=lambda g: g.replace("/", ""))
+def test_run_sweep_worker_invariance(tmp_path, group, noise_model):
+    group = parse_group(group)
+    cfg = tiny_sweep_config(group=group, noise_model=noise_model,
+                            rounding=rounding_rule(group), loss=default_loss(group))
     serial = run_sweep(cfg, workers=1)
     threaded = run_sweep(cfg, workers=3)
     assert serial.records == threaded.records
