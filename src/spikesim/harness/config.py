@@ -122,12 +122,14 @@ def from_json(cls, data: dict, keys: dict[str, str] | None = None, **given):
     return cls(**values, **given)
 
 
-def _check_ints(config) -> None:
-    """Read every int field of ``config`` as a loaded report would, so a value
-    the report could not be read back with (1.5, True) is refused here."""
+def _read_scalars(config) -> None:
+    """Read every int, float and str field of ``config`` as a loaded report
+    would, so a value the report could not be read back with (1.5 or True for
+    an int, True or "2" for a float, ["tanh"] for a str) is refused here."""
     for f in fields(config):
-        if f.type == "int":
-            object.__setattr__(config, f.name, echoed_int(getattr(config, f.name), f.name))
+        if f.type in ("int", "float", "str"):
+            value = _READERS[f.type][1](getattr(config, f.name), f.name)
+            object.__setattr__(config, f.name, value)
 
 
 def _echo(config) -> dict:
@@ -162,7 +164,7 @@ class SweepConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        _check_ints(self)
+        _read_scalars(self)
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.trials < 1:
@@ -254,7 +256,7 @@ class UniversalityConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        _check_ints(self)
+        _read_scalars(self)
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.trials < 2:

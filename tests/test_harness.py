@@ -304,6 +304,16 @@ def test_config_int_fields_refuse_non_integers(make, cls, names):
         assert type(cfg.echo()[name]) is int
 
 
+@pytest.mark.parametrize("name, bad", [("theta", True), ("theta", "2"), ("phi", ["tanh"])])
+def test_config_float_and_str_fields_refuse_other_types(name, bad):
+    # read as a loaded report reads them: a report echoing "theta": true could
+    # not be loaded, and a list phi used to fail as an unhashable TypeError
+    with pytest.raises(ValidationError, match=f"^{name} must be a "):
+        _universality_config(**{name: bad})
+    cfg = _universality_config(theta=2)
+    assert type(cfg.theta) is float and type(cfg.echo()["theta"]) is float
+
+
 # -------------------------------------------------------------------- sweeps
 
 def test_run_sweep_structure():
