@@ -103,7 +103,10 @@ def sample_goe(n: int, seed) -> HermitianMatrix:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
     a = rng.standard_normal((n, n))
-    return HermitianMatrix((a + a.T) / np.sqrt(2.0 * n))
+    h = a + a.T
+    del a
+    h /= np.sqrt(2.0 * n)
+    return HermitianMatrix(h)
 
 
 def sample_gue(n: int, seed) -> HermitianMatrix:
@@ -112,10 +115,19 @@ def sample_gue(n: int, seed) -> HermitianMatrix:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
-    z = re + 1.0j * im
-    return HermitianMatrix((z + z.conj().T) / (2.0 * np.sqrt(n)))
+    # (z + z*)/(2 sqrt(n)) for z = re + i im, written part by part into one
+    # buffer; im is drawn into re's array once re is used.  numpy divides a
+    # complex by a real by multiplying each part by the reciprocal, so the
+    # scaling gives its bits
+    h = np.empty((n, n), dtype=np.complex128)
+    g = rng.standard_normal((n, n))
+    np.add(g, g.T, out=h.real)
+    rng.standard_normal(out=g)
+    np.subtract(g, g.T, out=h.imag)
+    del g
+    parts = h.view(np.float64)
+    parts *= 1.0 / (2.0 * np.sqrt(n))
+    return HermitianMatrix(h)
 
 
 def _unit_variance_draws(law: str, rng: np.random.Generator, size) -> np.ndarray:
@@ -202,7 +214,13 @@ def build_spiked(spike: SpikeConfig, noise: HermitianMatrix) -> HermitianMatrix:
     v = spike.v
     if v.size != noise.n:
         raise ValidationError(f"spike dimension {v.size} does not match noise dimension {noise.n}")
-    return HermitianMatrix(symmetrize(spike.theta * np.outer(v, np.conj(v))) + noise.entries)
+    signal = np.outer(v, np.conj(v))
+    signal *= spike.theta
+    h = symmetrize(signal)
+    del signal
+    # in place unless numpy would promote the sum to another dtype
+    w = noise.entries
+    return HermitianMatrix(np.add(h, w, out=h if np.result_type(h, w) == h.dtype else None))
 
 
 def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:

@@ -78,20 +78,42 @@ def real_field(group: Group) -> bool:
     return isinstance(group, CyclicGroup) and group.order == 2
 
 
-def _wrap_angle(x):
-    """Reduce mod 2*pi into [0, 2*pi); np.mod can return exactly 2*pi for tiny
-    negative inputs, which must fold to 0."""
-    y = np.mod(x, TWO_PI)
-    return np.where(y == TWO_PI, 0.0, y)
+def _residue(d: np.ndarray, modulus) -> None:
+    """Reduce the array ``d`` mod ``modulus`` into [0, modulus), in place,
+    with np.mod's bits: fmod, plus the modulus where that is negative.
+
+    Adding (d < 0) * modulus adds +0.0 to a -0.0 remainder, which turns it
+    into np.mod's +0.0.
+    """
+    np.fmod(d, modulus, out=d)
+    d += (d < 0) * modulus
+
+
+def _wrap_angle(d: np.ndarray) -> None:
+    """Reduce the float64 array ``d`` mod 2*pi into [0, 2*pi), in place.
+
+    A tiny negative remainder plus 2*pi rounds to exactly 2*pi, which must
+    fold to 0.
+    """
+    _residue(d, TWO_PI)
+    d[d == TWO_PI] = 0.0
 
 
 def difference(group: Group, x, y):
     """x composed with the inverse of y, in canonical form (residues in
     [0, L), angles in [0, 2*pi)): difference(g, x, 0) is the canonical form
-    of x and difference(g, 0, y) the inverse of y."""
-    if isinstance(group, CyclicGroup):
-        return np.mod(np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64), group.order)
-    return _wrap_angle(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
+    of x and difference(g, 0, y) the inverse of y.  Scalar inputs give a
+    numpy scalar for either group."""
+    cyclic = isinstance(group, CyclicGroup)
+    dtype = np.int64 if cyclic else np.float64
+    # the subtraction is the one allocation: asarray keeps a 0-d result an
+    # array, so the reduction runs in place on it
+    d = np.asarray(np.asarray(x, dtype=dtype) - np.asarray(y, dtype=dtype))
+    if cyclic:
+        _residue(d, group.order)
+    else:
+        _wrap_angle(d)
+    return d[()]
 
 
 def haar_sample(group: Group, size, rng: np.random.Generator):
@@ -148,9 +170,13 @@ def round_to_group(group: Group, z):
     z = np.asarray(z)
     if isinstance(group, CyclicGroup):
         t = np.angle(z) / TWO_PI * group.order
-        k = np.where((t == -0.5) | (z == 0), 0.0, np.ceil(t - 0.5))
-        return np.mod(k.astype(np.int64), group.order)
-    return np.where(z == 0, 0.0, _wrap_angle(np.angle(z)))[()]
+        k = np.where((t == -0.5) | (z == 0), 0.0, np.ceil(t - 0.5)).astype(np.int64)
+        _residue(k, group.order)
+        return k[()]
+    a = np.asarray(np.angle(z))
+    _wrap_angle(a)
+    a[z == 0] = 0.0  # arctan2 puts z = -0.0 at pi
+    return a[()]
 
 
 def estimate_group_matrix(group: Group, v_hat: np.ndarray) -> np.ndarray:
@@ -163,8 +189,8 @@ def estimate_group_matrix(group: Group, v_hat: np.ndarray) -> np.ndarray:
     v_hat = np.asarray(v_hat)
     if v_hat.ndim != 1 or v_hat.size == 0:
         raise ValidationError("v_hat must be a nonempty vector")
-    n = v_hat.size
-    t = n * np.outer(v_hat, np.conj(v_hat))
+    t = np.outer(v_hat, np.conj(v_hat))
+    t *= v_hat.size
     return round_to_group(group, t)
 
 

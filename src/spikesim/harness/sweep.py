@@ -12,6 +12,7 @@ from ..ensembles import (SpikeConfig, build_spiked, sample_goe, sample_gue,
 from ..errors import ValidationError
 from ..groups import (average_loss, character, estimate_group_matrix, haar_sample,
                       pairwise_matrix, real_field)
+from ..matrices import HermitianMatrix
 from ..predictions import predict_sync_loss
 from ..rng import derive_key, stream
 from ..spectral import top_eigenpair
@@ -19,21 +20,25 @@ from .config import SweepConfig
 from .report import SweepReport, ThetaSummary, TrialRecord, summarize_trials
 
 
-def _run_trial(config: SweepConfig, theta_index: int, theta: float, trial: int) -> TrialRecord:
+def _observation(config: SweepConfig, theta: float, x: np.ndarray, noise_rng) -> HermitianMatrix:
+    """The trial's observation matrix H; each n x n input is passed straight
+    on, so nothing but H outlives this call."""
     group = config.group
     n = config.n
-    trial_key = derive_key(config.master_seed, "sweep", theta_index, trial)
-    x = haar_sample(group, n, stream(trial_key, "signal"))
-    noise_rng = stream(trial_key, "noise")
     if config.noise_model == "truth-or-haar":
-        p = theta / np.sqrt(n)
-        y = sample_truth_or_haar(group, x, p, noise_rng)
-        h = sync_observation_matrix(group, y)
-    else:
-        v = character(group, x) / np.sqrt(n)
-        noise = sample_goe(n, noise_rng) if real_field(group) else sample_gue(n, noise_rng)
-        h = build_spiked(SpikeConfig(theta, v), noise)
-    estimate = top_eigenpair(h)
+        return sync_observation_matrix(
+            group, sample_truth_or_haar(group, x, theta / np.sqrt(n), noise_rng))
+    sample = sample_goe if real_field(group) else sample_gue
+    return build_spiked(SpikeConfig(theta, character(group, x) / np.sqrt(n)),
+                        sample(n, noise_rng))
+
+
+def _run_trial(config: SweepConfig, theta_index: int, theta: float, trial: int) -> TrialRecord:
+    group = config.group
+    trial_key = derive_key(config.master_seed, "sweep", theta_index, trial)
+    x = haar_sample(group, config.n, stream(trial_key, "signal"))
+    # H is freed as soon as its top eigenpair is known
+    estimate = top_eigenpair(_observation(config, theta, x, stream(trial_key, "noise")))
     m_hat = estimate_group_matrix(group, estimate.eigenvector)
     m_true = pairwise_matrix(group, x)
     loss = average_loss(group, m_true, m_hat)

@@ -11,10 +11,16 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (a + a*)/2, which is exactly conjugate-symmetric in IEEE floats.
 
     Floating addition is commutative and conjugation is exact, so the (i, j)
-    and (j, i) results are exact conjugates; dividing by 2 is exact.
+    and (j, i) results are exact conjugates; dividing by 2 is exact.  The
+    result is one new C-ordered array: a* is written into it, then a is added
+    and the sum halved in place, which gives the bits of the out-of-place
+    (a + a*) / 2.
     """
     a = np.asarray(a)
-    return (a + a.conj().T) / 2.0
+    out = np.conjugate(a.T, out=np.empty(a.shape, dtype=np.result_type(a, 2.0)))
+    out += a
+    out /= 2.0
+    return out
 
 
 def _hermitian_entries(entries) -> np.ndarray:

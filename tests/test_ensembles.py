@@ -1,5 +1,7 @@
 """Noise ensemble samplers: symmetry, moments, determinism, sync model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,52 @@ def test_gue_entry_variances():
     assert abs(np.mean(np.abs(off) ** 2) - 1.0 / n) < 0.002
     assert abs(np.mean(off.real ** 2) - 0.5 / n) < 0.002
     assert abs(np.mean(off.real * off.imag)) < 0.001
+
+
+# Test-side copies of the out-of-place samplers, which sample_goe and
+# sample_gue must reproduce bit for bit.
+
+def _old_goe(n, seed):
+    a = as_generator(seed).standard_normal((n, n))
+    return (a + a.T) / np.sqrt(2.0 * n)
+
+
+def _old_gue(n, seed):
+    rng = as_generator(seed)
+    re = rng.standard_normal((n, n))
+    im = rng.standard_normal((n, n))
+    z = re + 1.0j * im
+    return (z + z.conj().T) / (2.0 * np.sqrt(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 80, 301])
+@pytest.mark.parametrize("sampler, old", [(sample_goe, _old_goe), (sample_gue, _old_gue)],
+                         ids=["goe", "gue"])
+def test_gaussian_samplers_match_out_of_place_reference(sampler, old, n):
+    for seed in (0, 17, 905):
+        want = old(n, seed)
+        got = sampler(n, seed).entries
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
+def test_gue_peak_memory():
+    # in units of 16 n^2 bytes, the size of the result: the out-of-place
+    # sampler peaked at 4.1; one buffer, one n x n draw at a time and the
+    # Hermitian check's conjugate copy need about 2.1
+    n = 400
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample_gue(n, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / (16 * n * n) <= 2.5
 
 
 def test_spectral_norm_near_bulk_edge():

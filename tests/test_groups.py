@@ -22,8 +22,9 @@ TWO_PI = 2 * np.pi
 # loss_values must reproduce them bit for bit.
 
 def _wrap(a):
+    # [()]: a scalar angle gives a numpy scalar, as a scalar residue does
     y = np.mod(a, TWO_PI)
-    return np.where(y == TWO_PI, 0.0, y)
+    return np.where(y == TWO_PI, 0.0, y)[()]
 
 
 def _canonicalize(group, x):
@@ -123,6 +124,90 @@ def test_difference_reproduces_old_canonicalize_and_inverse_circle():
         assert _same_bits(difference(U1, 0, x), _inverse(U1, x))
     assert difference(U1, 0, -0.0) == 0.0 and difference(U1, 0, TWO_PI) == 0.0
     assert difference(U1, 0, -1e-20) == 1e-20
+
+
+def test_scalar_inputs_give_numpy_scalars():
+    # one contract for both groups: scalars in, a numpy scalar out; arrays,
+    # 0-d ones included in the input, keep their shape
+    for group, x, y, z, kind in ((Z5, 1, 3, 1j, np.int64), (U1, 1.0, 2.0, 1j, np.float64)):
+        for got in (difference(group, x, y), difference(group, np.asarray(x), y),
+                    round_to_group(group, z), round_to_group(group, np.asarray(z))):
+            assert type(got) is kind
+        assert difference(group, [x], y).shape == (1,)
+        assert round_to_group(group, np.array([[z]])).shape == (1, 1)
+
+
+# Test-side copies of the np.mod residues that difference and round_to_group
+# computed before they reduced with fmod in place.
+
+def _old_difference(group, x, y):
+    if isinstance(group, CyclicGroup):
+        return np.mod(np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64), group.order)
+    return _wrap(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
+
+
+def _old_round(group, z):
+    z = np.asarray(z)
+    if isinstance(group, CyclicGroup):
+        t = np.angle(z) / TWO_PI * group.order
+        k = np.where((t == -0.5) | (z == 0), 0.0, np.ceil(t - 0.5))
+        return np.mod(k.astype(np.int64), group.order)
+    return np.where(z == 0, 0.0, _wrap(np.angle(z)))[()]
+
+
+def _near_turns(k):
+    """k * 2*pi and its neighbours one ulp below and above."""
+    c = k * TWO_PI
+    return st.sampled_from([np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf)])
+
+
+# finite angles whose differences stay finite: signed zeros, subnormals,
+# +-1e300, and values one ulp either side of a whole number of turns
+_EDGE_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     -2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300, np.pi, -np.pi]),
+    st.integers(-10**6, 10**6).flatmap(_near_turns),
+    st.floats(-1e300, 1e300, allow_subnormal=True),
+)
+_ANGLE_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=5),
+                           elements=_EDGE_ANGLES)
+
+
+@given(_ANGLE_ARRAYS, st.data())
+def test_difference_circle_bytes_match_np_mod(x, data):
+    y = data.draw(hnp.arrays(np.float64, x.shape, elements=_EDGE_ANGLES))
+    for a, b in ((x, y), (y, x), (x, 0), (0, x), (x, -0.0)):
+        assert _same_bits(difference(U1, a, b), _old_difference(U1, a, b))
+    for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
+        assert _same_bits(difference(U1, a, b), _old_difference(U1, a, b))
+
+
+@given(st.sampled_from([2, 3, 4, 5, 7, 1000]),
+       hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=5),
+                  elements=st.integers(-2**62, 2**62)),
+       st.data())
+def test_difference_cyclic_bytes_match_np_mod(order, x, data):
+    # int64 representatives far outside [0, L); the difference of two stays
+    # inside int64
+    g = CyclicGroup(order)
+    y = data.draw(hnp.arrays(np.int64, x.shape, elements=st.integers(-2**62, 2**62)))
+    for a, b in ((x, y), (y, x), (x, 0), (0, x)):
+        assert _same_bits(difference(g, a, b), _old_difference(g, a, b))
+    for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
+        assert _same_bits(difference(g, a, b), _old_difference(g, a, b))
+
+
+@given(st.sampled_from([U1] + [CyclicGroup(L) for L in (2, 3, 4, 5, 7, 1000)]),
+       st.booleans(), hnp.array_shapes(min_dims=0, max_dims=2, max_side=5), st.data())
+def test_round_to_group_bytes_match_np_mod(group, real, shape, data):
+    parts = hnp.arrays(np.float64, shape, elements=_EDGE_ANGLES)
+    z = data.draw(parts)
+    if not real:
+        z = z.astype(np.complex128)  # keeps the signbit of each real part
+        z.imag = data.draw(parts)
+    assert _same_bits(round_to_group(group, z), _old_round(group, z))
+    for w in z.ravel().tolist():
+        assert _same_bits(round_to_group(group, w), _old_round(group, w))
 
 
 def test_character_exact_values():

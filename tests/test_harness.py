@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -390,6 +391,28 @@ def test_z2_planted_vector_bits_match_complex_table(monkeypatch):
         assert spike.v.dtype == want.dtype == np.float64
         assert np.array_equal(spike.v.view(np.uint8), want.view(np.uint8))
         assert h.entries.dtype == np.float64
+
+
+def test_u1_trial_peak_memory():
+    # one U(1) gaussian-additive trial, in units of 16 n^2 bytes (one complex
+    # n x n array): chains of full-size temporaries peaked at 4.63; with each
+    # array allocated once the Hermitian check of H beside the noise sets the
+    # peak at about 3.1
+    n = 400
+    cfg = tiny_sweep_config(group=parse_group("U(1)"), n=n, theta_grid=(2.0,), trials=1,
+                            noise_model="gaussian-additive", rounding="phase",
+                            loss="one-minus-cos")
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep_module._run_trial(cfg, 0, 2.0, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / (16 * n * n) <= 3.5
 
 
 def test_run_sweep_strong_signal_recovers():

@@ -14,6 +14,34 @@ def test_symmetrize_is_exactly_hermitian():
     assert np.array_equal(r, r.T)
 
 
+def _old_symmetrize(a):
+    """The out-of-place kernel symmetrize must reproduce bit for bit."""
+    a = np.asarray(a)
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128],
+                         ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("n", [1, 2, 5, 80, 301])
+def test_symmetrize_matches_out_of_place_reference(dtype, n):
+    rng = stream(2, "sym-bits", n)
+    real = np.finfo(dtype).dtype
+    # signed zeros, subnormals, exact ties and large values among the draws
+    tiny, big = np.finfo(real).smallest_subnormal, np.finfo(real).max / 2
+    special = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, big, -big], dtype=real)
+    a = np.empty((n, n), dtype=dtype)
+    for part in ((a.real, a.imag) if np.issubdtype(dtype, np.complexfloating) else (a,)):
+        part[...] = rng.standard_normal((n, n))
+        mask = rng.random((n, n)) < 0.25
+        part[mask] = rng.choice(special, size=mask.sum())
+    for inp in (a, np.asfortranarray(a), a.T):
+        want = _old_symmetrize(inp)
+        got = symmetrize(inp)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got.view(real)), np.signbit(want.view(real)))
+
+
 def test_construction_and_flags():
     h = HermitianMatrix(np.array([[2.0, 1.0], [1.0, -1.0]]))
     assert h.n == 2 and h.entries.dtype == np.float64
