@@ -6,7 +6,9 @@ Identical inputs give bit-identical outputs.  The noise samplers return
 ``HermitianMatrix`` objects, exactly Hermitian by construction.  The sync
 observation model stores each pairwise observation once:
 ``sample_truth_or_haar`` returns the upper triangle Y_ij, i < j, as a flat
-array, and ``sync_observation_matrix`` embeds it into a Hermitian matrix.
+array, and ``sync_observation_matrix`` embeds it into a Hermitian matrix: for
+a cyclic group by lookups into two L-entry tables of symmetrized entries, with
+no n x n ``symmetrize``; for the circle by the character and ``symmetrize``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .groups import CyclicGroup, Group, character, difference, haar_sample
+from .groups import (CyclicGroup, Group, character, character_table, difference,
+                     haar_sample)
 from .matrices import HermitianMatrix, symmetrize
 from .rng import as_generator
 
@@ -268,6 +271,27 @@ def _triangle_side(y: np.ndarray, group: Group) -> int:
     return n
 
 
+def _embedding_tables(group: CyclicGroup, root_n) -> tuple[np.ndarray, np.ndarray]:
+    """The L entries H_ij (above the diagonal) and H_ji (below) that an
+    observation Y_ij = k gives: (chi(k)/sqrt(n) + conj(chi(-k)/sqrt(n)))/2 and
+    (chi(-k)/sqrt(n) + conj(chi(k)/sqrt(n)))/2.
+
+    The same operations as ``symmetrize`` on the same values, so each entry
+    has the bits that symmetrizing the n x n character matrix gives.  The
+    lower table is not the conjugate of the upper one in signed zeros: at
+    k = 0 both imaginary parts are +0.0.
+    """
+    chi = character_table(group) / root_n
+    chi_inv = chi[difference(group, 0, np.arange(group.order))]
+    up = np.conjugate(chi_inv)
+    up += chi
+    up /= 2.0
+    low = np.conjugate(chi)
+    low += chi_inv
+    low /= 2.0
+    return up, low
+
+
 def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
     """Embed upper-triangle observations into Hermitian form: H_ij = chi(Y_ij)/sqrt(n).
 
@@ -275,19 +299,28 @@ def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
     diagonal H_ji = chi(Y_ij^{-1})/sqrt(n), and the diagonal is
     chi(identity)/sqrt(n) = 1/sqrt(n).  H has the dtype of the character
     table: float64 with entries +-1/sqrt(n) for Z/2, complex128 otherwise.
-    The character matrix is then symmetrized (a <=1-ulp adjustment) to meet
-    the exact Hermiticity contract; for Z/2 it is already symmetric, since
-    y^{-1} = y, and comes back bit for bit.
+    The character matrix is symmetrized (a <=1-ulp adjustment) to meet the
+    exact Hermiticity contract.  A cyclic group has only L such entries above
+    the diagonal and L below, so both are looked up in two L-entry tables
+    that hold them symmetrized already, and no n x n ``symmetrize`` runs; for
+    Z/2 the tables are the character table itself, since y^{-1} = y.
     """
     y = np.asarray(y)
     n = _triangle_side(y, group)
     root_n = np.sqrt(n)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    if isinstance(group, CyclicGroup):
+        up, low = _embedding_tables(group, root_n)
+        c = np.empty((n, n), dtype=up.dtype)
+        c[upper] = up[y]
+        # c.T[upper] runs over (j, i) for i < j in the same row-major pair order
+        c.T[upper] = low[y]
+        np.fill_diagonal(c, 1.0 / root_n)
+        return HermitianMatrix(c)
     above = character(group, y) / root_n
     c = np.empty((n, n), dtype=above.dtype)
     c[upper] = above
     del above  # each n(n-1)/2 temporary is freed once it is copied into c
-    # c.T[upper] runs over (j, i) for i < j in the same row-major pair order
     c.T[upper] = character(group, difference(group, 0, y)) / root_n
     np.fill_diagonal(c, 1.0 / root_n)
     return HermitianMatrix(symmetrize(c))

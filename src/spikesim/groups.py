@@ -82,10 +82,14 @@ def _residue(d: np.ndarray, modulus) -> None:
     """Reduce the array ``d`` mod ``modulus`` into [0, modulus), in place,
     with np.mod's bits: fmod, plus the modulus where that is negative.
 
-    Adding (d < 0) * modulus adds +0.0 to a -0.0 remainder, which turns it
-    into np.mod's +0.0.
+    fmod is the identity on (-modulus, modulus), where every difference of
+    canonical elements lies, so it runs only when some value may lie outside
+    that range; a NaN fails both comparisons and runs it too.  Adding
+    (d < 0) * modulus adds +0.0 to a -0.0 remainder, which turns it into
+    np.mod's +0.0.
     """
-    np.fmod(d, modulus, out=d)
+    if d.size and not (d.min() > -modulus and d.max() < modulus):
+        np.fmod(d, modulus, out=d)
     d += (d < 0) * modulus
 
 
@@ -165,12 +169,26 @@ def round_to_group(group: Group, z):
     Cyclic: the residue k whose character exp(2*pi*i*k/L) is nearest to z,
     found from t = arg(z) * L / (2*pi) in [-L/2, L/2] as ceil(t - 1/2) mod L.
     Ties go to the smaller residue, including the tie between L-1 and 0 at
-    t = -1/2.  Circle: the phase angle of z.  z = 0 maps to the identity.
+    t = -1/2.  Real z has t = 0 or L/2, so k is L // 2 where z < 0, else 0.
+    NaN and +-inf have no nearest element and are refused.  Circle: the
+    phase angle of z, NaN for NaN.  z = 0 maps to the identity.
     """
     z = np.asarray(z)
     if isinstance(group, CyclicGroup):
-        t = np.angle(z) / TWO_PI * group.order
-        k = np.where((t == -0.5) | (z == 0), 0.0, np.ceil(t - 0.5)).astype(np.int64)
+        if not np.isfinite(z).all():
+            raise ValidationError(f"cannot round non-finite values to {group}")
+        if not np.iscomplexobj(z):
+            k = np.asarray(z < 0, dtype=np.int64)
+            k *= group.order // 2
+            return k[()]
+        t = np.asarray(np.angle(z))
+        t /= TWO_PI
+        t *= group.order
+        tie = (t == -0.5) | (z == 0)
+        t -= 0.5
+        np.ceil(t, out=t)
+        t[tie] = 0.0
+        k = t.astype(np.int64)
         _residue(k, group.order)
         return k[()]
     a = np.asarray(np.angle(z))
@@ -211,7 +229,12 @@ def average_loss(group: Group, m_true: np.ndarray, m_est: np.ndarray) -> float:
     """Mean loss over all n^2 ordered pairs (diagonal included)."""
     m_true = np.asarray(m_true)
     m_est = np.asarray(m_est)
-    if m_true.shape != m_est.shape or m_true.ndim != 2 or m_true.shape[0] != m_true.shape[1]:
-        raise ValidationError(
-            f"alignment matrices must be square with equal shape, got {m_true.shape} vs {m_est.shape}")
+    if (m_true.shape != m_est.shape or m_true.ndim != 2 or m_true.shape[0] != m_true.shape[1]
+            or m_true.size == 0):
+        raise ValidationError("alignment matrices must be nonempty and square with equal shape, "
+                              f"got {m_true.shape} vs {m_est.shape}")
+    if isinstance(group, CyclicGroup):
+        # the 0/1 mismatches sum to an exact integer, so the count over the
+        # size is the same double as their mean
+        return int(np.count_nonzero(difference(group, m_true, m_est))) / m_true.size
     return float(np.mean(loss_values(group, m_true, m_est)))

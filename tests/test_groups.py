@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spikesim.errors import ValidationError
-from spikesim.groups import (CircleGroup, CyclicGroup, average_loss, character,
+from spikesim.groups import (CircleGroup, CyclicGroup, _residue, average_loss, character,
                              character_table, difference, estimate_group_matrix,
                              haar_sample, loss_values, pairwise_matrix, parse_group,
                              round_to_group)
@@ -210,6 +210,112 @@ def test_round_to_group_bytes_match_np_mod(group, real, shape, data):
         assert _same_bits(round_to_group(group, w), _old_round(group, w))
 
 
+# Test-side copy of the reduction that ran fmod on every value: skipping it
+# inside (-m, m) must keep every bit, NaN and +-inf included.
+
+def _old_residue(d, modulus):
+    np.fmod(d, modulus, out=d)
+    d += (d < 0) * modulus
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _guard_edges(modulus):
+    """Values at and around the edges of (-m, m), and the extremes of the dtype."""
+    if isinstance(modulus, int):
+        m = modulus
+        vals = [0, 1, -1, m, -m, m - 1, -(m - 1), m + 1, -(m + 1), 2 * m, -2 * m,
+                _INT64.min, _INT64.max, _INT64.min + 1, _INT64.max - 1]
+        return np.array(vals, dtype=np.int64)
+    m = modulus
+    vals = [0.0, -0.0, m, -m, np.nextafter(m, 0), -np.nextafter(m, 0), np.nextafter(m, np.inf),
+            -np.nextafter(m, np.inf), m - 1, -(m - 1), 2 * m, -2 * m, 5e-324, -5e-324,
+            1e300, -1e300, np.inf, -np.inf, np.nan]
+    return np.array(vals)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 5, 1000, TWO_PI], ids=str)
+def test_residue_guard_edges_match_fmod_everywhere(modulus):
+    edges = _guard_edges(modulus)
+    cases = [edges, edges[:0], edges.reshape(-1, 1)]
+    cases += [edges[i:i + 1].reshape(()) for i in range(edges.size)]  # each value 0-d
+    cases += [np.delete(edges, i) for i in range(edges.size)]  # one value missing
+    # all-inside arrays skip fmod; one value on or past an edge brings it back
+    inside = edges[np.abs(edges) < modulus]
+    cases += [inside] + [np.append(inside, v) for v in edges]
+    for d in cases:
+        got, want = d.copy(), d.copy()
+        with np.errstate(invalid="ignore"):  # fmod(+-inf) is NaN
+            _residue(got, modulus)
+            _old_residue(want, modulus)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_difference_guard_edges_both_groups():
+    # through the public arithmetic: edge representatives against np.mod
+    for order in (2, 3, 5, 1000):
+        g = CyclicGroup(order)
+        edges = _guard_edges(order)
+        for x in (edges, edges[:0], np.asarray(edges[3])):
+            assert _same_bits(difference(g, x, 0), _old_difference(g, x, 0))
+        reps = np.array([0, 1, order - 1, order, -order, -(order - 1)], dtype=np.int64)
+        a, b = np.meshgrid(reps, reps)
+        assert _same_bits(difference(g, a, b), _old_difference(g, a, b))
+    edges = _guard_edges(TWO_PI)
+    with np.errstate(invalid="ignore"):
+        for x in (edges, edges[:0], np.asarray(-0.0), np.asarray(TWO_PI)):
+            for a, b in ((x, 0), (0, x), (x, -0.0)):
+                assert _same_bits(difference(U1, a, b), _old_difference(U1, a, b))
+
+
+_REAL_FIELD = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]),
+    st.floats(-1e300, 1e300, allow_subnormal=True),
+)
+
+
+@given(st.integers(2, 24), hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2,
+                                                                   max_side=6),
+                                      elements=_REAL_FIELD))
+def test_round_real_field_closed_form(order, x):
+    # a real field skips the angle: it must give what the complex path gives
+    # on x + 0j, the old kernel, and the brute-force oracle where it is clear
+    g = CyclicGroup(order)
+    got = round_to_group(g, x)
+    assert _same_bits(got, round_to_group(g, x + 0j))
+    assert _same_bits(got, _old_round(g, x.astype(np.complex128)))
+    assert _same_bits(round_to_group(g, x.astype(np.complex128)), got)
+    for w in x.ravel().tolist():
+        assert _same_bits(round_to_group(g, w), _old_round(g, complex(w)))
+    small = np.abs(x) < 1e3
+    xs = np.where(small, x, 0.0)
+    expect, gap = _table_round(g, xs)
+    clear = small & (gap > 1e-12 * (1.0 + xs ** 2))
+    assert np.array_equal(np.asarray(got)[clear], expect[clear])
+
+
+def test_round_real_field_signed_zero_and_sides():
+    for order in range(2, 25):
+        g = CyclicGroup(order)
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 3.0, -3.0])
+        assert np.array_equal(round_to_group(g, x), [0, 0, 0, order // 2, 0, order // 2])
+        assert round_to_group(g, -0.0) == 0 and type(round_to_group(g, -0.0)) is np.int64
+
+
+@pytest.mark.parametrize("group", [Z2, CyclicGroup(3), Z5, CyclicGroup(24)], ids=str)
+def test_round_refuses_non_finite_on_both_branches(group):
+    bad_real = [np.nan, np.inf, -np.inf]
+    bad_complex = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+                   complex(0.0, -np.inf), complex(np.inf, np.inf), complex(np.nan, np.nan)]
+    for v in bad_real + bad_complex:
+        for z in (v, np.array([1.0, v]), np.array([[v]])):
+            with pytest.raises(ValidationError, match="non-finite"):
+                round_to_group(group, z)
+    # U(1) keeps its mapping: the phase of NaN is NaN
+    assert np.isnan(round_to_group(U1, np.nan)) and np.isnan(round_to_group(U1, complex(np.nan, 0)))
+
+
 def test_character_exact_values():
     assert np.array_equal(character_table(Z2), [1.0 + 0j, -1.0 + 0j])
     # Z/2 characters are real: float64 from the table on, never cast back
@@ -407,6 +513,24 @@ def test_average_loss_basics():
         average_loss(Z5, m, m[:5, :5])
     with pytest.raises(ValidationError):
         average_loss(Z5, np.zeros(3), np.zeros(3))
+    for group in (Z5, U1):
+        with pytest.raises(ValidationError):
+            average_loss(group, np.zeros((0, 0)), np.zeros((0, 0)))
+
+
+@given(st.integers(2, 24), st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_cyclic_average_loss_is_the_old_mean(order, n, agree, seed):
+    # the mismatch count over n^2 is the double np.mean gave on the n^2 0/1
+    # floats, for canonical and for non-canonical representatives
+    g = CyclicGroup(order)
+    rng = np.random.default_rng(seed)
+    t = haar_sample(g, (n, n), rng)
+    e = np.where(rng.random((n, n)) < agree, t, haar_sample(g, (n, n), rng))
+    shifts = rng.integers(-3, 4, size=(2, n, n)) * order
+    for a, b in ((t, e), (t + shifts[0], e + shifts[1]), (t, e + shifts[1])):
+        got = average_loss(g, a, b)
+        want = float(np.mean(_mismatch(g, a, b)))
+        assert type(got) is float and got.hex() == want.hex()
 
 
 def test_average_loss_translation_invariance():

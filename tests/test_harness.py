@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 
 from spikesim import EnsembleSpec, ValidationError, parse_group
+from spikesim import ensembles as ensembles_module
+from spikesim import groups as groups_module
+from spikesim import predictions as predictions_module
 from spikesim.ensembles import ENTRY_LAWS
-from spikesim.groups import default_loss, rounding_rule
+from spikesim.groups import CyclicGroup, default_loss, rounding_rule
 from spikesim.harness import (
     SweepConfig,
     UniversalityConfig,
@@ -50,6 +53,7 @@ from spikesim.harness.report import (
 )
 from spikesim.harness.universality import (MOMENT_MATCH_TOL, _draw_pairs, _signal_vector,
                                           check_moment_match)
+from spikesim.matrices import HermitianMatrix, symmetrize
 from spikesim.rng import stream
 
 Z2 = parse_group("Z/2")
@@ -540,6 +544,73 @@ def test_report_bytes_pinned(tmp_path, name):
     digests = {ext: hashlib.sha256((out_dir / f"report.{ext}").read_bytes()).hexdigest()
                for ext in ("csv", "json", "svg")}
     assert digests == PINNED_REPORTS[name]
+
+
+# Test-side copies of the Z/L kernels as they ran before each became one pass:
+# fmod on every value, the angle path for real input, the mean of the n^2 0/1
+# losses, and the n x n character matrix symmetrized.  Unlike a pinned digest,
+# comparing whole runs against them holds on any CPU, and it covers U(1).
+
+def _old_residue(d, modulus):
+    np.fmod(d, modulus, out=d)
+    d += (d < 0) * modulus
+
+
+def _old_round_to_group(group, z):
+    z = np.asarray(z)
+    if isinstance(group, CyclicGroup):
+        t = np.angle(z) / groups_module.TWO_PI * group.order
+        k = np.where((t == -0.5) | (z == 0), 0.0, np.ceil(t - 0.5)).astype(np.int64)
+        _old_residue(k, group.order)
+        return k[()]
+    a = np.asarray(np.angle(z))
+    groups_module._wrap_angle(a)
+    a[z == 0] = 0.0
+    return a[()]
+
+
+def _old_average_loss(group, m_true, m_est):
+    return float(np.mean(groups_module.loss_values(group, m_true, m_est)))
+
+
+def _old_sync_observation_matrix(group, y):
+    n = (1 + math.isqrt(1 + 8 * y.size)) // 2
+    root_n = np.sqrt(n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    above = groups_module.character(group, y) / root_n
+    c = np.empty((n, n), dtype=above.dtype)
+    c[upper] = above
+    c.T[upper] = groups_module.character(group, groups_module.difference(group, 0, y)) / root_n
+    np.fill_diagonal(c, 1.0 / root_n)
+    return HermitianMatrix(symmetrize(c))
+
+
+def _report_bytes(report, out_dir):
+    out_dir.mkdir()
+    write_sweep_csv(report, str(out_dir / "report.csv"))
+    write_sweep_json(report, str(out_dir / "report.json"))
+    write_sweep_svg(report, str(out_dir / "report.svg"))
+    return {ext: (out_dir / f"report.{ext}").read_bytes() for ext in ("csv", "json", "svg")}
+
+
+@pytest.mark.parametrize("group, noise_model", [("Z/3", "truth-or-haar"),
+                                                ("Z/2", "truth-or-haar"),
+                                                ("U(1)", "gaussian-additive")])
+def test_run_sweep_bytes_match_old_kernels(tmp_path, monkeypatch, group, noise_model):
+    group = parse_group(group)
+    cfg = tiny_sweep_config(group=group, noise_model=noise_model, n=40, trials=2,
+                            rounding=rounding_rule(group), loss=default_loss(group))
+    new = _report_bytes(run_sweep(cfg, workers=2), tmp_path / "new")
+    for module, name, old in (
+            (groups_module, "_residue", _old_residue),
+            (groups_module, "round_to_group", _old_round_to_group),
+            (predictions_module, "round_to_group", _old_round_to_group),
+            (groups_module, "average_loss", _old_average_loss),
+            (sweep_module, "average_loss", _old_average_loss),
+            (ensembles_module, "sync_observation_matrix", _old_sync_observation_matrix),
+            (sweep_module, "sync_observation_matrix", _old_sync_observation_matrix)):
+        monkeypatch.setattr(module, name, old)
+    assert _report_bytes(run_sweep(cfg, workers=2), tmp_path / "old") == new
 
 
 # Report digests of two small universality runs, one real (GOE against
