@@ -6,9 +6,8 @@ Identical inputs give bit-identical outputs.  The noise samplers return
 ``HermitianMatrix`` objects, exactly Hermitian by construction.  The sync
 observation model stores each pairwise observation once:
 ``sample_truth_or_haar`` returns the upper triangle Y_ij, i < j, as a flat
-array, and ``sync_observation_matrix`` embeds it into a Hermitian matrix: for
-a cyclic group by lookups into two L-entry tables of symmetrized entries, with
-no n x n ``symmetrize``; for the circle by the character and ``symmetrize``.
+array, and ``sync_observation_matrix`` embeds it into a Hermitian matrix by
+one symmetrization rule for every group, with no n x n ``symmetrize``.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .groups import (CyclicGroup, Group, character, character_table, difference,
-                     haar_sample)
+from .groups import CyclicGroup, Group, character, difference, haar_sample
 from .matrices import HermitianMatrix, symmetrize
 from .rng import as_generator
 
@@ -100,6 +98,24 @@ class EnsembleSpec:
         return 1.0 / self.n if self.variance_profile is None else self.variance_profile
 
 
+def _upper(n: int) -> np.ndarray:
+    """Strict upper triangle mask: i < j in row-major order, as stored here."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
+def _mirrored(n: int, up: np.ndarray, low: np.ndarray, diag, take=...) -> np.ndarray:
+    """n x n: ``up[take]`` above the diagonal, ``low[take]`` mirrored below and
+    ``diag`` on it (``take=...`` uses the triangles as given); one gathered
+    triangle at a time is alive beside the result."""
+    upper = _upper(n)
+    c = np.empty((n, n), dtype=np.result_type(up, low))
+    c[upper] = up[take]
+    # c.T[upper] runs over (j, i) for i < j in the same row-major pair order
+    c.T[upper] = low[take]
+    c[np.diag_indices(n)] = diag
+    return c
+
+
 def sample_goe(n: int, seed) -> HermitianMatrix:
     """Real symmetric Gaussian matrix: off-diagonals N(0, 1/n), diagonals N(0, 2/n)."""
     if n < 1:
@@ -156,12 +172,11 @@ def sample_generalized_wigner(spec: EnsembleSpec, seed) -> HermitianMatrix:
     rng = as_generator(seed)
     n = spec.n
     prof = spec.variance_profile
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     m = n * (n - 1) // 2
     if prof is None:
         sig = sig_diag = np.sqrt(1.0 / n)
     else:
-        sig, sig_diag = np.sqrt(prof[upper]), np.sqrt(np.diag(prof))
+        sig, sig_diag = np.sqrt(prof[_upper(n)]), np.sqrt(np.diag(prof))
     if spec.field == "R":
         above = _unit_variance_draws(spec.entry_law, rng, m) * sig
     else:
@@ -169,12 +184,8 @@ def sample_generalized_wigner(spec: EnsembleSpec, seed) -> HermitianMatrix:
         re = _unit_variance_draws(spec.entry_law, rng, m) * scale
         im = _unit_variance_draws(spec.entry_law, rng, m) * scale
         above = re + 1.0j * im
-    w = np.empty((n, n), dtype=above.dtype)
-    w[upper] = above
-    w.T[upper] = np.conj(above)
     d = _unit_variance_draws(spec.entry_law, rng, n) * sig_diag
-    w[np.diag_indices(n)] = d
-    return HermitianMatrix(w)
+    return HermitianMatrix(_mirrored(n, above, np.conj(above), d))
 
 
 def sample_ensemble(spec: EnsembleSpec, seed) -> HermitianMatrix:
@@ -246,7 +257,7 @@ def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
     m = n * (n - 1) // 2
     u = rng.random(m)
     haar = haar_sample(group, m, rng)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    upper = _upper(n)
     truth = difference(group, np.broadcast_to(x[:, None], (n, n))[upper],
                        np.broadcast_to(x, (n, n))[upper])
     return np.where(u < p, truth, haar)
@@ -271,18 +282,16 @@ def _triangle_side(y: np.ndarray, group: Group) -> int:
     return n
 
 
-def _embedding_tables(group: CyclicGroup, root_n) -> tuple[np.ndarray, np.ndarray]:
-    """The L entries H_ij (above the diagonal) and H_ji (below) that an
-    observation Y_ij = k gives: (chi(k)/sqrt(n) + conj(chi(-k)/sqrt(n)))/2 and
-    (chi(-k)/sqrt(n) + conj(chi(k)/sqrt(n)))/2.
+def _symmetrized(chi: np.ndarray, chi_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries H_ij (above the diagonal) and H_ji (below) that observations
+    with scaled characters chi = chi(Y_ij)/sqrt(n) and chi_inv =
+    chi(Y_ij^{-1})/sqrt(n) give: (chi + conj(chi_inv))/2 and (chi_inv + conj(chi))/2.
 
     The same operations as ``symmetrize`` on the same values, so each entry
     has the bits that symmetrizing the n x n character matrix gives.  The
-    lower table is not the conjugate of the upper one in signed zeros: at
-    k = 0 both imaginary parts are +0.0.
+    lower entries are not the conjugates of the upper ones in signed zeros:
+    at the identity both imaginary parts are +0.0.
     """
-    chi = character_table(group) / root_n
-    chi_inv = chi[difference(group, 0, np.arange(group.order))]
     up = np.conjugate(chi_inv)
     up += chi
     up /= 2.0
@@ -299,28 +308,17 @@ def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
     diagonal H_ji = chi(Y_ij^{-1})/sqrt(n), and the diagonal is
     chi(identity)/sqrt(n) = 1/sqrt(n).  H has the dtype of the character
     table: float64 with entries +-1/sqrt(n) for Z/2, complex128 otherwise.
-    The character matrix is symmetrized (a <=1-ulp adjustment) to meet the
-    exact Hermiticity contract.  A cyclic group has only L such entries above
-    the diagonal and L below, so both are looked up in two L-entry tables
-    that hold them symmetrized already, and no n x n ``symmetrize`` runs; for
-    Z/2 the tables are the character table itself, since y^{-1} = y.
+    Each entry pair goes through ``_symmetrized`` (a <=1-ulp adjustment) to
+    meet the exact Hermiticity contract; no n x n ``symmetrize`` runs.  The
+    rule runs on the L residues of Z/L, which the observations index (for Z/2
+    the character table itself, as y^{-1} = y), or on the U(1) observations.
     """
     y = np.asarray(y)
     n = _triangle_side(y, group)
     root_n = np.sqrt(n)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    if isinstance(group, CyclicGroup):
-        up, low = _embedding_tables(group, root_n)
-        c = np.empty((n, n), dtype=up.dtype)
-        c[upper] = up[y]
-        # c.T[upper] runs over (j, i) for i < j in the same row-major pair order
-        c.T[upper] = low[y]
-        np.fill_diagonal(c, 1.0 / root_n)
-        return HermitianMatrix(c)
-    above = character(group, y) / root_n
-    c = np.empty((n, n), dtype=above.dtype)
-    c[upper] = above
-    del above  # each n(n-1)/2 temporary is freed once it is copied into c
-    c.T[upper] = character(group, difference(group, 0, y)) / root_n
-    np.fill_diagonal(c, 1.0 / root_n)
-    return HermitianMatrix(symmetrize(c))
+    keys, take = (np.arange(group.order), y) if isinstance(group, CyclicGroup) else (y, ...)
+    up, low = _symmetrized(character(group, keys) / root_n,
+                           character(group, difference(group, 0, keys)) / root_n)
+    c = _mirrored(n, up, low, 1.0 / root_n, take)
+    del up, low  # the Hermitian check's conjugate copy needs their room
+    return HermitianMatrix(c)

@@ -9,6 +9,7 @@ errors so typos cannot silently change an experiment.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -60,8 +61,8 @@ def _parse_float(text: str, key: str) -> float:
 
 def echoed_int(value, key: str) -> int:
     """An integer field of an echoed config or a loaded report: JSON may spell
-    120 as 120.0, but 120.7 is refused, not truncated."""
-    if type(value) not in (int, float) or value != int(value):
+    120 as 120.0, but 120.7, inf and nan are refused, not truncated."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
         raise ValidationError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -174,9 +175,15 @@ class SweepConfig:
                                   f"got {self.noise_model!r}")
         if self.mc_samples < MIN_SAMPLES:
             raise ValidationError(f"mc_samples must be >= {MIN_SAMPLES}")
-        grid = tuple(float(t) for t in self.theta_grid)
-        if not grid:
-            raise ValidationError("theta_grid must hold at least one theta value")
+        # a str is iterable too: float() read "23" as (2.0, 3.0)
+        try:
+            grid = () if isinstance(self.theta_grid, str) else tuple(self.theta_grid)
+        except TypeError:  # not iterable
+            grid = ()
+        if not grid or not all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in grid):
+            raise ValidationError("theta_grid must hold at least one theta value, each a real "
+                                  f"number, got {self.theta_grid!r}")
+        grid = tuple(float(t) for t in grid)
         object.__setattr__(self, "theta_grid", grid)
         for theta in grid:
             if not np.isfinite(theta) or theta <= 1.0:

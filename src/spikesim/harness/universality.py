@@ -59,11 +59,6 @@ def check_delocalized(v: np.ndarray) -> None:
             f"n^(-1/4) = {n ** -0.25:.4f}")
 
 
-def _pair_stats(v: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray, phi,
-                n: int) -> np.ndarray:
-    return phi(n * np.real(v[idx_i] * np.conj(v[idx_j])))
-
-
 def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarray,
                         theta: float, phi, pairs, trials: int, seed: int,
                         workers: int = 1) -> UniversalityReport:
@@ -107,8 +102,8 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
     def one_trial(task):
         label, spec, t = task
         w = sample_ensemble(spec, stream(seed, "universality", label, t))
-        est = top_eigenpair(build_spiked(spike, w))
-        return _pair_stats(est.eigenvector, idx_i, idx_j, PHI_FUNCS[phi], n)
+        u = top_eigenpair(build_spiked(spike, w)).eigenvector
+        return PHI_FUNCS[phi](n * np.real(u[idx_i] * np.conj(u[idx_j])))
 
     tasks = [(label, spec, t) for label, spec in (("a", spec_a), ("b", spec_b))
              for t in range(trials)]

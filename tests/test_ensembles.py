@@ -527,6 +527,30 @@ def test_sync_observation_matches_full_matrix_reference(group):
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
+@pytest.mark.parametrize("group, bound", [(U1, 2.25), (parse_group("Z/3"), 2.2), (Z5, 2.2),
+                                          (Z2, 0.85)], ids=["U1", "Z3", "Z5", "Z2"])
+@pytest.mark.parametrize("n", [400, 1000])
+def test_sync_observation_peak_memory(group, bound, n):
+    # in units of 16 n^2 bytes, one complex n x n array: the U(1) character
+    # matrix and its n x n symmetrize peaked at 3.1-3.2.  With one rule on the
+    # triangles, each filled and freed in turn, H, the conjugate copy of its
+    # Hermitian check and the mask set the peak at about 2.1; Z/2's real H
+    # needs no copy (about 0.8)
+    x = haar_sample(group, n, stream(19, "x", str(group)))
+    y = sample_truth_or_haar(group, x, 0.5, stream(19, "y", str(group)))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sync_observation_matrix(group, y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / (16 * n * n) <= bound
+
+
 def test_circle_sync_observation_hermitian():
     n = 60
     x = haar_sample(U1, n, stream(16, "x"))
@@ -577,9 +601,9 @@ def test_flat_moment_profile_matches_explicit_profile(law, field):
     check_moment_match(classical, flat)
 
 
-def _folded_wigner(spec, seed):
-    """The sampler as it was before it mirrored its draws: the upper triangle
-    is written into zeros and folded with its (conjugate) transpose."""
+def _reference_draws(spec, seed):
+    """The sampler's draws in their fixed order, scaled by the profile: the
+    upper triangle (row-major, with its mask), then the diagonal."""
     rng = as_generator(seed)
     n = spec.n
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -590,17 +614,35 @@ def _folded_wigner(spec, seed):
     else:
         sig, sig_diag = np.sqrt(prof[upper]), np.sqrt(np.diag(prof))
     if spec.field == "R":
-        w = np.zeros((n, n))
-        w[upper] = _unit_variance_draws(spec.entry_law, rng, m) * sig
-        w = w + w.T
+        above = _unit_variance_draws(spec.entry_law, rng, m) * sig
     else:
-        w = np.zeros((n, n), dtype=np.complex128)
         scale = sig / np.sqrt(2.0)
         re = _unit_variance_draws(spec.entry_law, rng, m) * scale
         im = _unit_variance_draws(spec.entry_law, rng, m) * scale
-        w[upper] = re + 1.0j * im
-        w = w + w.conj().T
-    w[np.diag_indices(n)] = _unit_variance_draws(spec.entry_law, rng, n) * sig_diag
+        above = re + 1.0j * im
+    return upper, above, _unit_variance_draws(spec.entry_law, rng, n) * sig_diag
+
+
+def _folded_wigner(spec, seed):
+    """The sampler as it was before it mirrored its draws: the upper triangle
+    is written into zeros and folded with its (conjugate) transpose."""
+    upper, above, d = _reference_draws(spec, seed)
+    w = np.zeros(upper.shape, dtype=above.dtype)
+    w[upper] = above
+    w = w + w.T if spec.field == "R" else w + w.conj().T
+    w[np.diag_indices(spec.n)] = d
+    return w
+
+
+def _written_out_fill_wigner(spec, seed):
+    """The sampler as it was before its fill moved into the shared triangle
+    helper: the draws above the diagonal, their conjugates at the mirrored
+    places below, then the diagonal draws."""
+    upper, above, d = _reference_draws(spec, seed)
+    w = np.empty(upper.shape, dtype=above.dtype)
+    w[upper] = above
+    w.T[upper] = np.conj(above)
+    w[np.diag_indices(spec.n)] = d
     return w
 
 
@@ -624,6 +666,23 @@ def test_mirrored_wigner_matches_folded_reference(law, field):
         for seed in (0, 41):
             got = sample_generalized_wigner(spec, seed).entries
             want = _folded_wigner(spec, seed)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("law", ENTRY_LAWS)
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_mirrored_wigner_matches_written_out_fill(n, law, field):
+    # the flat/explicit profile tests compare two outputs of the same fill;
+    # this one pins the fill itself, for a flat, an explicit flat and a
+    # non-flat profile
+    specs = [*_flat_pair(n, law, field),
+             EnsembleSpec(kind="generalized-wigner", n=n, entry_law=law, field=field,
+                          variance_profile=_circulant_profile(n))]
+    for spec in specs:
+        for seed in (0, 41):
+            got = sample_generalized_wigner(spec, seed).entries
+            want = _written_out_fill_wigner(spec, seed)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -319,6 +319,31 @@ def test_config_float_and_str_fields_refuse_other_types(name, bad):
     assert type(cfg.theta) is float and type(cfg.echo()["theta"]) is float
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("make, name", [
+    (make, f.name) for make, cls in ((tiny_sweep_config, SweepConfig),
+                                     (_universality_config, UniversalityConfig))
+    for f in fields(cls) if f.type == "int"])
+def test_config_int_fields_refuse_non_finite(make, name, bad):
+    # int() of inf raised OverflowError and of nan a bare ValueError, neither
+    # naming the field
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {bad!r}"):
+        make(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", ["23", 2.0, None, np.array(2.0), ["2", "3"], (2.0, True)],
+                         ids=["str", "float", "none", "0-d-array", "str-items", "bool-item"])
+def test_sweep_theta_grid_refuses_other_types(bad):
+    # "23" used to run as (2.0, 3.0), ["2", "3"] built a config whose report
+    # the reader refuses, and 2.0 failed as a TypeError
+    with pytest.raises(ValidationError, match="^theta_grid must hold at least one theta value"):
+        tiny_sweep_config(theta_grid=bad)
+    for good in ((1.5, 2), [1.5, 2.5], np.array([1.5, 2.5]), (t for t in (1.5, 2.5))):
+        cfg = tiny_sweep_config(theta_grid=good)
+        assert cfg.theta_grid in ((1.5, 2.0), (1.5, 2.5))
+        assert all(type(t) is float for t in cfg.theta_grid)
+
+
 # -------------------------------------------------------------------- sweeps
 
 def test_run_sweep_structure():
