@@ -38,13 +38,14 @@ class EnsembleSpec:
     ``variance_profile`` is the n x n matrix of entry variances sigma^2_ij for
     the generalized Wigner kinds (default ``None``: flat 1/n, never
     materialized).  n*sigma^2_ij must lie within [1/``GAMMA_W``, ``GAMMA_W``].
+    ``field`` defaults to the kind's: "C" for GUE, else "R".
     """
 
     kind: str
     n: int
     entry_law: str | None = None
     variance_profile: np.ndarray | None = None
-    field: str = "R"
+    field: str | None = None
 
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
@@ -52,6 +53,8 @@ class EnsembleSpec:
         if int(self.n) != self.n or self.n < 1:
             raise ValidationError(f"dimension must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        if self.field is None:
+            object.__setattr__(self, "field", "C" if self.kind == "gue" else "R")
         if self.field not in ("R", "C"):
             raise ValidationError(f"field must be 'R' or 'C', got {self.field!r}")
         if self.kind == "goe" and self.field != "R":

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from ..errors import ValidationError
-from ..groups import parse_group, real_field
+from ..groups import default_loss, parse_group, real_field, rounding_rule
 from ..predictions import DEFAULT_SAMPLES, predict_sync_loss, z2_mismatch_exact
 from .config import parse_sweep_config, parse_universality_config
 from .report import (load_sweep_report, write_sweep_csv, write_sweep_json,
@@ -114,7 +114,7 @@ def _cmd_predict(args) -> int:
     group = parse_group(args.group)
     estimate = predict_sync_loss(group, args.theta, n_samples=args.samples,
                                  seed=args.seed)
-    print(f"{estimate.label} theta={args.theta:g}")
+    print(f"{group} {default_loss(group)} {rounding_rule(group)} theta={args.theta:g}")
     print(f"mean={estimate.mean!r} stderr={estimate.stderr!r} "
           f"n_samples={estimate.n_samples}")
     if real_field(group):

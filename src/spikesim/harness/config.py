@@ -10,6 +10,7 @@ errors so typos cannot silently change an experiment.
 from __future__ import annotations
 
 import numbers
+import operator
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -166,6 +167,10 @@ class SweepConfig:
 
     def __post_init__(self):
         _read_scalars(self)
+        # read by its type: a str would fail every CyclicGroup test and run as the circle
+        if not isinstance(self.group, Group):
+            raise ValidationError(f"group must be a CyclicGroup or CircleGroup, "
+                                  f"got {self.group!r}")
         if self.n < 2:
             raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.trials < 1:
@@ -212,6 +217,17 @@ class SweepConfig:
         return from_json(cls, data, _SWEEP_ECHO_KEYS, out_dir=out_dir)
 
 
+def read_workers(workers) -> int:
+    """The thread count of a run: an integer of at least 1."""
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise ValidationError(f"workers must be an integer, got {workers!r}") from None
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def parse_sweep_config(path: str) -> SweepConfig:
     # the group fixes the remaining fields, rounding and loss
     values = _read_config(path, SweepConfig, fixed=("rounding", "loss"))
@@ -223,9 +239,9 @@ def parse_ensemble(text: str, n: int) -> EnsembleSpec:
     """Parse an ensemble description: 'goe', 'gue', or 'wigner:<law>[:C]'."""
     s = text.strip().lower()
     if s == "goe":
-        return EnsembleSpec(kind="goe", n=n, field="R")
+        return EnsembleSpec(kind="goe", n=n)
     if s == "gue":
-        return EnsembleSpec(kind="gue", n=n, field="C")
+        return EnsembleSpec(kind="gue", n=n)
     parts = s.split(":")
     if parts[0] == "wigner" and len(parts) in (2, 3):
         field = "R"

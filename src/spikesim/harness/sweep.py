@@ -9,14 +9,13 @@ import numpy as np
 
 from ..ensembles import (SpikeConfig, build_spiked, sample_goe, sample_gue,
                          sample_truth_or_haar, sync_observation_matrix)
-from ..errors import ValidationError
 from ..groups import (average_loss, character, estimate_group_matrix, haar_sample,
                       pairwise_matrix, real_field)
 from ..matrices import HermitianMatrix
 from ..predictions import predict_sync_loss
 from ..rng import derive_key, stream
 from ..spectral import top_eigenpair
-from .config import SweepConfig
+from .config import SweepConfig, read_workers
 from .report import SweepReport, ThetaSummary, TrialRecord, summarize_trials
 
 
@@ -55,11 +54,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     the GIL).
     """
     start = time.perf_counter()
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = read_workers(workers)
     tasks = [(ti, theta, t) for ti, theta in enumerate(config.theta_grid)
              for t in range(config.trials)]
-    if workers > 1 and tasks:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = tuple(pool.map(lambda args: _run_trial(config, *args), tasks))
     else:

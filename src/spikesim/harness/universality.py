@@ -18,7 +18,8 @@ from ..ensembles import EnsembleSpec, SpikeConfig, build_spiked, sample_ensemble
 from ..errors import ValidationError
 from ..rng import stream
 from ..spectral import top_eigenpair
-from .config import PHI_FUNCS, UniversalityConfig, ensemble_text, parse_ensemble
+from .config import (PHI_FUNCS, UniversalityConfig, ensemble_text, parse_ensemble,
+                     read_workers)
 from .report import PairComparison, UniversalityReport
 
 # analytic variances must agree to rounding error off the diagonal
@@ -71,8 +72,7 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
     per-pair means and standard errors.
     """
     start = time.perf_counter()
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = read_workers(workers)
     check_moment_match(spec_a, spec_b)
     n = spec_a.n
     v = np.asarray(v)

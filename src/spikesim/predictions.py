@@ -11,13 +11,14 @@ F is R exactly when the group is Z/2 (real observation matrix), else C.  For
 Z/2 with mismatch loss the expectation reduces in closed form to 2q(1-q) with
 q = Phi(-sqrt(theta^2 - 1)).
 
-Sampling is chunked with an independent named stream per chunk and a fixed
-reduction order, so estimates are reproducible for a given seed no matter how
-chunks are scheduled.  Each chunk draws its x, y, g and h full-length, in that
-order; the arithmetic after the draws then runs over blocks of ``BLOCK``
-samples, so only the draws and the chunk's loss values are chunk-sized.  Only
-``CHUNK`` names streams: every step after the draws is elementwise, so the
-block size moves no bit of an estimate.
+One loop runs over chunks of ``CHUNK`` samples, each with its own named
+stream, and adds each chunk's two float sums in chunk order, so an estimate is
+reproducible for a given seed.  Each chunk draws its x, y, g and h
+full-length, in that order; the arithmetic after the draws then runs over
+blocks of ``BLOCK`` samples, so only the draws and the chunk's loss values are
+chunk-sized, and they are freed before the next chunk draws.  Only ``CHUNK``
+names streams: every step after the draws is elementwise, so the block size
+moves no bit of an estimate.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .groups import (Group, character, default_loss, difference, haar_sample,
-                     loss_values, real_field, round_to_group, rounding_rule)
+from .groups import (Group, character, difference, haar_sample, loss_values,
+                     real_field, round_to_group)
 from .limits import overlap_limit, residual_variance_limit
 from .rng import stream
 
@@ -55,8 +56,6 @@ class PredictionEstimate:
     mean: float
     stderr: float
     n_samples: int
-    theta: float
-    label: str
 
 
 def _check_supercritical(theta: float) -> float:
@@ -78,24 +77,6 @@ def _gaussians(rng: np.random.Generator, m: int, field: str) -> np.ndarray:
     return z
 
 
-def _chunked_mc(sample_fn, n_samples: int, seed: int):
-    """Accumulate chunk sums in chunk order; returns (mean, stderr)."""
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    index = 0
-    while done < n_samples:
-        m = min(CHUNK, n_samples - done)
-        vals = sample_fn(stream(seed, "chunk", index), m)
-        total += float(vals.sum())
-        total_sq += float(np.square(vals, out=vals).sum())
-        done += m
-        index += 1
-    mean = total / n_samples
-    var = max(0.0, total_sq - n_samples * mean * mean) / max(1, n_samples - 1)
-    return mean, math.sqrt(var / n_samples)
-
-
 def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPLES,
                       seed: int = 0) -> PredictionEstimate:
     """Monte Carlo value of the limiting average loss for a synchronization run.
@@ -110,11 +91,15 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
         raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("seed must be an int (named chunk streams are derived from it)")
+    n_samples, seed = int(n_samples), int(seed)
     field = "R" if real_field(group) else "C"
     rho = math.sqrt(overlap_limit(theta))
     tau = math.sqrt(residual_variance_limit(theta))
-
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+    total = 0.0
+    total_sq = 0.0
+    for index, done in enumerate(range(0, n_samples, CHUNK)):
+        m = min(CHUNK, n_samples - done)
+        rng = stream(seed, "chunk", index)
         x = haar_sample(group, m, rng)
         y = haar_sample(group, m, rng)
         g = _gaussians(rng, m, field)
@@ -127,12 +112,13 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
                 * (rho * np.conj(character(group, y[b])) + tau * np.conj(h[b])))
             vals[b] = loss_values(group, difference(group, x[b], y[b]), decoded)
             del decoded  # not held beside the next block's temporaries
-        return vals
-
-    mean, err = _chunked_mc(draw, int(n_samples), int(seed))
-    label = f"{group} {default_loss(group)} {rounding_rule(group)}"
-    return PredictionEstimate(mean=mean, stderr=err, n_samples=int(n_samples),
-                              theta=theta, label=label)
+        total += float(vals.sum())
+        total_sq += float(np.square(vals, out=vals).sum())
+        del x, y, g, h, vals  # not held beside the next chunk's draws
+    mean = total / n_samples
+    var = max(0.0, total_sq - n_samples * mean * mean) / (n_samples - 1)
+    return PredictionEstimate(mean=mean, stderr=math.sqrt(var / n_samples),
+                              n_samples=n_samples)
 
 
 def z2_mismatch_exact(theta: float) -> float:

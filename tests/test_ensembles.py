@@ -58,6 +58,17 @@ def test_spec_field_constraints():
         EnsembleSpec(kind="generalized-wigner", n=10, entry_law="gaussian", field="Q")
 
 
+def test_spec_field_follows_kind():
+    # the field defaults to the kind's; a contradicting one is still refused
+    assert EnsembleSpec(kind="gue", n=10).field == "C"
+    assert EnsembleSpec(kind="goe", n=10).field == "R"
+    assert EnsembleSpec(kind="generalized-wigner", n=10, entry_law="gaussian").field == "R"
+    with pytest.raises(ValidationError, match="^GUE is a complex ensemble$"):
+        EnsembleSpec(kind="gue", n=10, field="R")
+    with pytest.raises(ValidationError, match="^GOE is a real ensemble$"):
+        EnsembleSpec(kind="goe", n=10, field="C")
+
+
 def test_spec_dimension_validation():
     with pytest.raises(ValidationError):
         EnsembleSpec(kind="goe", n=0)

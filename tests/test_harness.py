@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -158,6 +159,16 @@ def test_sweep_config_validation():
     with pytest.raises(ValidationError, match="theta/sqrt"):
         tiny_sweep_config(n=4, theta_grid=(3.0,))
     tiny_sweep_config(n=4, theta_grid=(3.0,), noise_model="gaussian-additive")
+
+
+@pytest.mark.parametrize("text", ["U(1)", "Z/5"])
+def test_sweep_config_refuses_group_text(text):
+    # the group is read by its type: a str would fail every CyclicGroup test
+    # and pass as the circle
+    group = parse_group(text)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"group must be a CyclicGroup or CircleGroup, got {text!r}")):
+        tiny_sweep_config(group=text, rounding=rounding_rule(group), loss=default_loss(group))
 
 
 def test_sweep_config_echo_round_trip():
@@ -946,13 +957,15 @@ def test_cli_predict(capsys):
     code = main(["predict", "--group", "Z/2", "--theta", "2.0", "--samples", "2000"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "Z/2 mismatch nearest-character" in out
+    assert out.startswith("Z/2 mismatch nearest-character theta=2\n")
     assert "closed_form=0.0797980267959431" in out
     # the closed form exists for Z/2 only
-    assert main(["predict", "--group", "U(1)", "--theta", "2.0", "--samples", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("U(1) one-minus-cos phase theta=2\n")
-    assert "closed_form=" not in out
+    for group, head in (("Z/5", "Z/5 mismatch nearest-character"),
+                        ("U(1)", "U(1) one-minus-cos phase")):
+        assert main(["predict", "--group", group, "--theta", "2.0", "--samples", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{head} theta=2\n")
+        assert "closed_form=" not in out
     # the loss belongs to the group: there is no option to choose it
     with pytest.raises(SystemExit) as exc:
         main(["predict", "--group", "Z/2", "--theta", "2.0", "--loss", "mismatch"])
@@ -1119,6 +1132,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     data["config"]["n"] = 60.0
     not_report.write_text(json.dumps(data))
     assert main(["plot", str(not_report), "--out", str(tmp_path / "n60.svg")]) == 0
+
+
+@pytest.mark.parametrize("bad", ["2", 2.5, None], ids=["str", "float", "none"])
+def test_runs_refuse_non_integer_workers(bad):
+    # workers is read as an integer, never compared as a str or a float
+    for run in (lambda w: run_sweep(tiny_sweep_config(), workers=w),
+                lambda w: run_universality_ab(**small_ab_kwargs(), workers=w)):
+        with pytest.raises(ValidationError, match=f"^workers must be an integer, got {bad!r}$"):
+            run(bad)
+    assert run_sweep(tiny_sweep_config(), workers=np.int64(2)).records
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
