@@ -50,8 +50,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
 
     Each cell draws from streams named by (master_seed, theta-index, trial),
     and results are collected in task order, so the report is identical for
-    any ``workers`` value; threads only buy wall time (the eigensolver releases
-    the GIL).
+    any ``workers`` value.  Threads only buy wall time where a trial runs
+    numpy code that releases the GIL: scipy's eigensolver wrappers hold it
+    for the whole solve, so two trials never solve at once.
     """
     start = time.perf_counter()
     workers = read_workers(workers)

@@ -8,6 +8,9 @@ the outlier eigenvalue solves the secular equation
 v* (zI - W)^{-1} v = 1/theta, and the top eigenvector is proportional to
 (lambda I - W)^{-1} v.  Both are implemented against linear solves so they can
 cross-check the eigensolver, plus an isotropic local-law residual diagnostic.
+Every shift of those two routes is real and above spec(W), where zI - W is
+positive definite, so a real shift is factored by Cholesky; a complex shift,
+and a real one Cholesky cannot solve, is factored by LU.
 
 Dense linear algebra runs on scipy's BLAS only.  numpy and scipy may each
 bundle their own BLAS, each with its own thread pool; a numpy matrix product
@@ -109,13 +112,54 @@ def _entries(w) -> np.ndarray:
     return w.entries if isinstance(w, HermitianMatrix) else np.asarray(w)
 
 
-def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
-    """Solve (zI - W) x = b for a vector b by LU, verifying the residual.
+def _shifted(wm: np.ndarray, z, dtype) -> np.ndarray:
+    """zI - W in ``dtype``, C-ordered, without an n×n identity.
 
-    Raises SingularShiftError when the relative residual exceeds 1e-10, which
-    is how shifts too close to spec(W) are detected, and ValueError for a
-    non-finite shift or a b of any shape but (n,).  A zero b returns zeros of
-    the dtype a nonzero b of the same dtype would give.
+    The off-diagonal is 0 - W, not -W, so a zero of W gives +0 there, as in
+    z*eye(n) - W for a z with no negative part.
+    """
+    a = np.subtract(0.0, wm, dtype=dtype)
+    a.reshape(-1)[:: a.shape[0] + 1] += z
+    return a
+
+
+def _cholesky_solve(wm: np.ndarray, z: float, b: np.ndarray, dtype, norm_b: float):
+    """(zI - W)^{-1} b by Cholesky for a real shift z, or None where that fails.
+
+    None when LAPACK finds zI - W not positive definite, or when the relative
+    residual of z x - W x - b, which reads both triangles of W, exceeds
+    SOLVE_RTOL.
+    """
+    a = _shifted(wm, z, dtype)
+    # LAPACK reads the C-ordered a in place as a.T: the same matrix when a is
+    # real symmetric, its conjugate when a is Hermitian, so there b goes in
+    # and x comes out conjugated.
+    conj = np.iscomplexobj(a)
+    posv = scipy.linalg.get_lapack_funcs("posv", (a, b))
+    _, x, info = posv(a.T, b.conj() if conj else b, lower=1, overwrite_a=1)
+    if info != 0:
+        return None
+    if conj:
+        np.conjugate(x, out=x)
+    # the factor overwrote a, so the residual is taken against W
+    gemv = scipy.linalg.get_blas_funcs("gemv", (wm, x))
+    r = gemv(-1.0, wm.T, x, beta=1.0, y=z * x - b, overwrite_y=1, trans=1)
+    rel = np.linalg.norm(r) / norm_b
+    return x if rel <= SOLVE_RTOL else None
+
+
+def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
+    """Solve (zI - W) x = b for a vector b, verifying the residual.
+
+    A real shift is tried first by Cholesky, which succeeds when zI - W is
+    positive definite, as it is for Hermitian W and z above spec(W).  A
+    complex shift, and a real one where Cholesky reports "not positive
+    definite" or misses the residual bound, is solved by LU.
+
+    Raises SingularShiftError when the relative residual of the LU solution
+    exceeds 1e-10, which is how shifts too close to spec(W) are detected, and
+    ValueError for a non-finite shift or a b of any shape but (n,).  A zero b
+    returns zeros of the dtype a nonzero b of the same dtype would give.
     """
     wm = _entries(w)
     b = np.asarray(b)
@@ -124,15 +168,17 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs shape {b.shape} is not the vector shape ({n},)")
     if not np.isfinite(complex(z)):
         raise ValueError(f"shift z = {z} must be finite")
-    complex_shift = np.iscomplexobj(wm) or complex(z).imag != 0.0
+    real_shift = complex(z).imag == 0.0
+    shift = complex(z).real if real_shift else complex(z)
+    dtype = np.float64 if real_shift and not np.iscomplexobj(wm) else np.complex128
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
-        a_dtype = np.complex128 if complex_shift else np.float64
-        return np.zeros(b.shape, dtype=np.result_type(a_dtype, b.dtype))
-    if complex_shift:
-        a = np.asarray(z * np.eye(n, dtype=np.complex128) - wm)
-    else:
-        a = float(np.real(z)) * np.eye(n) - np.real(wm)
+        return np.zeros(b.shape, dtype=np.result_type(dtype, b.dtype))
+    if real_shift:
+        x = _cholesky_solve(wm, shift, b, dtype, norm_b)
+        if x is not None:
+            return x
+    a = _shifted(wm, shift, dtype)
     x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), b,
                               check_finite=False)
     # a x - b on the BLAS that did the LU.  a is C-ordered, so BLAS gets a.T,
@@ -167,14 +213,17 @@ def secular_root(w, v: np.ndarray, theta: float) -> float:
     The root is then found by Newton's method on 1/m(z) - theta from the
     lower end (Bunch, Nielsen & Sorensen 1978).  To the right of the spectrum
     1/m is increasing and concave, so the iterates rise to the root without
-    passing it.  Each step costs one solve x = R(z) v, since
-    m'(z) = -||x||^2.  The loop stops at the first step below
-    SECULAR_STEP_RTOL * |z|, a negative step from rounding at the root
-    included, and raises RuntimeError after SECULAR_MAX_STEPS steps.
+    passing it.  Each step costs one solve x = R(z) v, by Cholesky since
+    zI - W is positive definite there, and m'(z) = -||x||^2.  The loop stops
+    at the first step below SECULAR_STEP_RTOL * |z|, a negative step from
+    rounding at the root included, and raises RuntimeError after
+    SECULAR_MAX_STEPS steps.
 
     A raw array ``w`` must pass the ``HermitianMatrix`` checks (ValueError
-    otherwise): ``eigvalsh`` reads one triangle while the LU solves read both,
-    so for any other w the bracket and the root come from different matrices.
+    otherwise): ``eigvalsh`` reads one triangle while each solve reads both
+    (the Cholesky residual is taken against all of W, and the LU fallback
+    factors all of it), so for any other w the bracket and the root come from
+    different matrices.
     """
     wm = w.entries if isinstance(w, HermitianMatrix) else _hermitian_entries(w)
     v = _check_unit(v, "v")

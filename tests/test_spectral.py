@@ -215,22 +215,98 @@ def _direct_lu_solve(w, z, b):
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
 
 
-@pytest.mark.parametrize("field", ["R", "C"])
-@pytest.mark.parametrize("z", [2.7, 2.7 + 0.4j])
-@pytest.mark.parametrize("rhs", ["real-vector", "complex-vector"])
-def test_resolvent_solve_matches_direct_lu_bits(field, z, rhs):
-    n = 60
-    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
+def _direct_posv_solve(w, z, b):
+    """Reference: one ?posv call on zI - W for a real z, no residual check."""
+    a = z * np.eye(w.shape[0], dtype=w.dtype) - w
+    _, x, info = scipy.linalg.get_lapack_funcs("posv", (a, b))(a, b, lower=1)
+    assert info == 0
+    return x
+
+
+def _rhs(n, rhs):
     rng = stream(21, "rhs")
     b = rng.standard_normal(n)
     if rhs.startswith("complex"):
         b = b + 1j * rng.standard_normal(n)
+    return b
+
+
+def _assert_solve_bits(w, z, b, reference):
     b_before = b.copy()
     x = resolvent_solve(w, z, b)
-    ref = _direct_lu_solve(w, z, b)
+    ref = reference(w, z, b)
     assert x.dtype == ref.dtype and x.shape == ref.shape
     assert np.array_equal(x, ref)
     assert np.array_equal(b, b_before)
+
+
+@pytest.fixture
+def lu_factors(monkeypatch):
+    """Count the LU factorizations made through scipy.linalg."""
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counting_lu_factor(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu_factor)
+    return calls
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("z", [2.7 + 0.4j])
+@pytest.mark.parametrize("rhs", ["real-vector", "complex-vector"])
+def test_resolvent_solve_matches_direct_lu_bits(field, z, rhs):
+    n = 60
+    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
+    _assert_solve_bits(w, z, _rhs(n, rhs), _direct_lu_solve)
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("z", [2.7])
+@pytest.mark.parametrize("rhs", ["real-vector", "complex-vector"])
+def test_resolvent_solve_matches_direct_posv_bits(field, z, rhs, lu_factors):
+    # a real shift above the spectrum is solved by Cholesky alone
+    n = 60
+    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
+    assert z > np.linalg.eigvalsh(w)[-1]
+    _assert_solve_bits(w, z, _rhs(n, rhs), _direct_posv_solve)
+    assert lu_factors == []
+
+
+@pytest.mark.parametrize("field", ["R", "C"])
+@pytest.mark.parametrize("case", ["inside-spectrum", "not-hermitian"])
+def test_resolvent_solve_real_shift_falls_back_to_lu_bits(field, case, lu_factors):
+    # Cholesky fails inside the spectrum ("not positive definite"), and on a
+    # raw W that is not Hermitian it solves the matrix of one triangle, whose
+    # residual against the whole W misses SOLVE_RTOL; both take the LU path
+    n = 60
+    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries.copy()
+    if case == "inside-spectrum":
+        eigs = np.linalg.eigvalsh(w)
+        k = int(np.argmax(np.diff(eigs[n // 4: 3 * n // 4]))) + n // 4
+        z = 0.5 * (eigs[k] + eigs[k + 1])  # midway in a wide gap of the bulk
+    else:
+        skew = stream(21, "skew").standard_normal(n * (n - 1) // 2)
+        w[np.triu_indices(n, 1)] += 0.5 * skew / np.sqrt(n)
+        z = 4.0
+    _assert_solve_bits(w, z, _rhs(n, "real-vector"), _direct_lu_solve)
+    assert lu_factors == [(n, n)] * 2  # the solve's fallback, then the reference
+
+
+@pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
+def test_supercritical_root_and_eigenvector_run_no_lu(sampler, lu_factors):
+    # every shift of a found root and its eigenvector lies above spec(W); a
+    # silent fallback to LU would keep the answers and lose the time
+    n, theta = 200, 2.0
+    w = sampler(n, stream(22, "w"))
+    v = unit(stream(22, "v").standard_normal(n)).astype(w.entries.dtype)
+    root = secular_root(w, v, theta)
+    eigvec_via_resolvent(w, root, v)
+    assert lu_factors == []
+    resolvent_solve(w, root + 0.5j, v)
+    assert lu_factors == [(n, n)]
 
 
 def test_resolvent_rejects_shift_in_spectrum():
@@ -419,8 +495,9 @@ def test_secular_root_argument_validation():
 
 
 def test_secular_root_refuses_raw_w_that_is_not_hermitian(monkeypatch):
-    # eigvalsh reads one triangle and the LU solves read both, so a raw w
-    # that is not exactly Hermitian is refused before any solve
+    # eigvalsh reads one triangle while each resolvent solve reads both (the
+    # Cholesky residual against W and the LU fallback), so a raw w that is
+    # not exactly Hermitian is refused before any solve
     n = 200
     w = sample_goe(n, stream(19, "w")).entries.copy()
     w[np.triu_indices(n, 1)] += 0.5 / np.sqrt(n)
