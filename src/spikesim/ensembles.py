@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_int
 from .groups import CyclicGroup, Group, character, difference, haar_sample
 from .matrices import HermitianMatrix, symmetrize
 from .rng import as_generator
@@ -50,9 +50,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValidationError(f"unknown ensemble kind {self.kind!r}")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValidationError(f"dimension must be a positive integer, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", checked_int(self.n, "n", 1))
         if self.field is None:
             object.__setattr__(self, "field", "C" if self.kind == "gue" else "R")
         if self.field not in ("R", "C"):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_int
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,9 +24,7 @@ class CyclicGroup:
     order: int
 
     def __post_init__(self):
-        if int(self.order) != self.order or self.order < 2:
-            raise ValidationError(f"cyclic group order must be an integer >= 2, got {self.order}")
-        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "order", checked_int(self.order, "order", 2))
 
     def __str__(self):
         return f"Z/{self.order}"

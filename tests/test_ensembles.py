@@ -1,7 +1,5 @@
 """Noise ensemble samplers: symmetry, moments, determinism, sync model."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -23,13 +21,13 @@ from spikesim import (
     sample_generalized_wigner,
     sample_truth_or_haar,
     stream,
-    symmetrize,
     sync_observation_matrix,
 )
-from spikesim.ensembles import ENTRY_LAWS, GAMMA_W, _unit_variance_draws
+from spikesim.ensembles import ENTRY_LAWS, GAMMA_W
 from spikesim.harness.universality import check_moment_match
-from spikesim.groups import haar_sample, real_field
-from spikesim.rng import as_generator
+from spikesim.groups import haar_sample
+
+import reference
 
 Z2 = parse_group("Z/2")
 Z5 = parse_group("Z/5")
@@ -70,10 +68,10 @@ def test_spec_field_follows_kind():
 
 
 def test_spec_dimension_validation():
-    with pytest.raises(ValidationError):
-        EnsembleSpec(kind="goe", n=0)
-    with pytest.raises(ValidationError):
-        EnsembleSpec(kind="goe", n=2.5)
+    # refused by name, never converted: inf and nan have no int, True is no size
+    for bad in (0, 2.5, np.inf, -np.inf, np.nan, True, np.True_, "7"):
+        with pytest.raises(ValidationError, match=f"^n must be an integer >= 1, got {bad!r}$"):
+            EnsembleSpec(kind="goe", n=bad)
     spec = EnsembleSpec(kind="goe", n=7.0)
     assert spec.n == 7 and isinstance(spec.n, int)
 
@@ -188,25 +186,9 @@ def test_gue_entry_variances():
     assert abs(np.mean(off.real * off.imag)) < 0.001
 
 
-# Test-side copies of the out-of-place samplers, which sample_goe and
-# sample_gue must reproduce bit for bit.
-
-def _old_goe(n, seed):
-    a = as_generator(seed).standard_normal((n, n))
-    return (a + a.T) / np.sqrt(2.0 * n)
-
-
-def _old_gue(n, seed):
-    rng = as_generator(seed)
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
-    z = re + 1.0j * im
-    return (z + z.conj().T) / (2.0 * np.sqrt(n))
-
-
 @pytest.mark.parametrize("n", [1, 2, 5, 80, 301])
-@pytest.mark.parametrize("sampler, old", [(sample_goe, _old_goe), (sample_gue, _old_gue)],
-                         ids=["goe", "gue"])
+@pytest.mark.parametrize("sampler, old", [(sample_goe, reference.goe),
+                                          (sample_gue, reference.gue)], ids=["goe", "gue"])
 def test_gaussian_samplers_match_out_of_place_reference(sampler, old, n):
     for seed in (0, 17, 905):
         want = old(n, seed)
@@ -216,22 +198,12 @@ def test_gaussian_samplers_match_out_of_place_reference(sampler, old, n):
         assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
 
 
-def test_gue_peak_memory():
+def test_gue_peak_memory(traced_peak):
     # in units of 16 n^2 bytes, the size of the result: the out-of-place
     # sampler peaked at 4.1; one buffer, one n x n draw at a time and the
     # Hermitian check's conjugate copy need about 2.1
     n = 400
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sample_gue(n, 0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak / (16 * n * n) <= 2.5
+    assert traced_peak(sample_gue, n, 0) / (16 * n * n) <= 2.5
 
 
 def test_spectral_norm_near_bulk_edge():
@@ -343,14 +315,6 @@ def test_build_spiked_dtype_paths():
     assert mixed.entries.dtype == np.complex128
 
 
-def _old_build_spiked(spike, noise):
-    """The two-branch sum build_spiked used to write out, as the reference."""
-    signal = symmetrize(spike.theta * np.outer(spike.v, np.conj(spike.v)))
-    if noise.entries.dtype == np.float64 and not np.iscomplexobj(signal):
-        return signal + noise.entries
-    return signal.astype(np.complex128) + noise.entries.astype(np.complex128)
-
-
 def _unit_vector(n, dtype, rng):
     """A random direction in ``dtype`` that SpikeConfig accepts as unit."""
     for _ in range(20):
@@ -372,7 +336,7 @@ def test_build_spiked_matches_two_branch_reference(n):
     for dtype in (np.float32, np.float64, np.complex64, np.complex128):
         spike = SpikeConfig(theta=1.7, v=_unit_vector(n, dtype, rng))
         for noise in (sample_goe(n, stream(22, n)), sample_gue(n, stream(23, n))):
-            expected = _old_build_spiked(spike, noise)
+            expected = reference.build_spiked(spike.theta, spike.v, noise.entries)
             got = build_spiked(spike, noise).entries
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
@@ -433,16 +397,6 @@ def test_truth_or_haar_returns_upper_triangle():
         assert np.array_equal(difference(group, y, 0), y)
 
 
-def _triu_truth_or_haar(group, x, p, rng):
-    """sample_truth_or_haar as it was with x_i and x_j gathered through
-    np.triu_indices instead of the boolean upper mask."""
-    iu = np.triu_indices(x.size, 1)
-    m = iu[0].size
-    u = rng.random(m)
-    haar = haar_sample(group, m, rng)
-    return np.where(u < p, difference(group, x[iu[0]], x[iu[1]]), haar)
-
-
 @pytest.mark.parametrize("group", [CyclicGroup(order) for order in (2, 3, 4, 5, 7, 24)] + [U1],
                          ids=lambda g: str(g).replace("/", ""))
 def test_truth_or_haar_matches_triu_indices_reference(group):
@@ -450,7 +404,7 @@ def test_truth_or_haar_matches_triu_indices_reference(group):
         x = haar_sample(group, n, stream(19, "x", str(group), n))
         for p in (0.0, 0.4, 1.0):
             got = sample_truth_or_haar(group, x, p, stream(19, "y", str(group), n))
-            want = _triu_truth_or_haar(group, x, p, stream(19, "y", str(group), n))
+            want = reference.truth_or_haar(group, x, p, stream(19, "y", str(group), n))
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -500,32 +454,6 @@ def test_sync_observation_rejects_broken_input():
             sync_observation_matrix(U1, bad)
 
 
-# the complex128 table Z/2 had before its characters became float64
-OLD_Z2_TABLE = np.array([1.0 + 0.0j, -1.0 + 0.0j])
-
-
-def _old_inverse(group, y):
-    """The group inverse as groups.py once computed it apart from ``difference``."""
-    if isinstance(group, CyclicGroup):
-        return np.mod(-np.asarray(y, dtype=np.int64), group.order)
-    a = np.mod(-np.asarray(y, dtype=np.float64), 2.0 * np.pi)
-    return np.where(a == 2.0 * np.pi, 0.0, a)
-
-
-def _full_matrix_embedding(group, y, n):
-    """The full-matrix reference from the same triangle: mirror through the
-    inverse (0 is the identity on the diagonal), apply chi/sqrt(n) in
-    complex128 (for Z/2 through the old complex table), then copy out the
-    real part (Z/2) or symmetrize."""
-    iu = np.triu_indices(n, 1)
-    full = np.zeros((n, n), dtype=y.dtype)
-    full[iu] = y
-    full[iu[1], iu[0]] = _old_inverse(group, y)
-    chi = OLD_Z2_TABLE[full] if group == Z2 else character(group, full)
-    c = chi / np.sqrt(n)
-    return c.real.copy() if real_field(group) else symmetrize(c)
-
-
 @pytest.mark.parametrize("group", [CyclicGroup(order) for order in range(2, 25)] + [U1],
                          ids=lambda g: str(g).replace("/", ""))
 def test_sync_observation_matches_full_matrix_reference(group):
@@ -533,7 +461,7 @@ def test_sync_observation_matches_full_matrix_reference(group):
         x = haar_sample(group, n, stream(18, "x", str(group), n))
         y = sample_truth_or_haar(group, x, 0.5, stream(18, "y", str(group), n))
         got = sync_observation_matrix(group, y).entries
-        want = _full_matrix_embedding(group, y, n)
+        want = reference.sync_observation_matrix(group, y)
         assert got.dtype == want.dtype
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
@@ -541,7 +469,7 @@ def test_sync_observation_matches_full_matrix_reference(group):
 @pytest.mark.parametrize("group, bound", [(U1, 2.25), (parse_group("Z/3"), 2.2), (Z5, 2.2),
                                           (Z2, 0.85)], ids=["U1", "Z3", "Z5", "Z2"])
 @pytest.mark.parametrize("n", [400, 1000])
-def test_sync_observation_peak_memory(group, bound, n):
+def test_sync_observation_peak_memory(group, bound, n, traced_peak):
     # in units of 16 n^2 bytes, one complex n x n array: the U(1) character
     # matrix and its n x n symmetrize peaked at 3.1-3.2.  With one rule on the
     # triangles, each filled and freed in turn, H, the conjugate copy of its
@@ -549,17 +477,7 @@ def test_sync_observation_peak_memory(group, bound, n):
     # needs no copy (about 0.8)
     x = haar_sample(group, n, stream(19, "x", str(group)))
     y = sample_truth_or_haar(group, x, 0.5, stream(19, "y", str(group)))
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sync_observation_matrix(group, y)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak / (16 * n * n) <= bound
+    assert traced_peak(sync_observation_matrix, group, y) / (16 * n * n) <= bound
 
 
 def test_circle_sync_observation_hermitian():
@@ -612,51 +530,6 @@ def test_flat_moment_profile_matches_explicit_profile(law, field):
     check_moment_match(classical, flat)
 
 
-def _reference_draws(spec, seed):
-    """The sampler's draws in their fixed order, scaled by the profile: the
-    upper triangle (row-major, with its mask), then the diagonal."""
-    rng = as_generator(seed)
-    n = spec.n
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    m = n * (n - 1) // 2
-    prof = spec.variance_profile
-    if prof is None:
-        sig = sig_diag = np.sqrt(1.0 / n)
-    else:
-        sig, sig_diag = np.sqrt(prof[upper]), np.sqrt(np.diag(prof))
-    if spec.field == "R":
-        above = _unit_variance_draws(spec.entry_law, rng, m) * sig
-    else:
-        scale = sig / np.sqrt(2.0)
-        re = _unit_variance_draws(spec.entry_law, rng, m) * scale
-        im = _unit_variance_draws(spec.entry_law, rng, m) * scale
-        above = re + 1.0j * im
-    return upper, above, _unit_variance_draws(spec.entry_law, rng, n) * sig_diag
-
-
-def _folded_wigner(spec, seed):
-    """The sampler as it was before it mirrored its draws: the upper triangle
-    is written into zeros and folded with its (conjugate) transpose."""
-    upper, above, d = _reference_draws(spec, seed)
-    w = np.zeros(upper.shape, dtype=above.dtype)
-    w[upper] = above
-    w = w + w.T if spec.field == "R" else w + w.conj().T
-    w[np.diag_indices(spec.n)] = d
-    return w
-
-
-def _written_out_fill_wigner(spec, seed):
-    """The sampler as it was before its fill moved into the shared triangle
-    helper: the draws above the diagonal, their conjugates at the mirrored
-    places below, then the diagonal draws."""
-    upper, above, d = _reference_draws(spec, seed)
-    w = np.empty(upper.shape, dtype=above.dtype)
-    w[upper] = above
-    w.T[upper] = np.conj(above)
-    w[np.diag_indices(spec.n)] = d
-    return w
-
-
 def _circulant_profile(n):
     lag = np.abs(np.arange(n)[None, :] - np.arange(n)[:, None])
     weights = 1.0 + 0.5 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
@@ -676,7 +549,7 @@ def test_mirrored_wigner_matches_folded_reference(law, field):
     for spec in specs:
         for seed in (0, 41):
             got = sample_generalized_wigner(spec, seed).entries
-            want = _folded_wigner(spec, seed)
+            want = reference.wigner(spec, seed, fold=True)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -693,7 +566,7 @@ def test_mirrored_wigner_matches_written_out_fill(n, law, field):
     for spec in specs:
         for seed in (0, 41):
             got = sample_generalized_wigner(spec, seed).entries
-            want = _written_out_fill_wigner(spec, seed)
+            want = reference.wigner(spec, seed)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

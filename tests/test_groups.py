@@ -10,37 +10,13 @@ from spikesim.groups import (CircleGroup, CyclicGroup, _residue, average_loss, c
                              round_to_group)
 from spikesim.rng import stream
 
+import reference
+
 Z2 = CyclicGroup(2)
 Z4 = CyclicGroup(4)
 Z5 = CyclicGroup(5)
 U1 = CircleGroup()
 TWO_PI = 2 * np.pi
-
-
-# Test-side copies of the canonical form, inverse and mismatch that groups.py
-# once computed on their own; difference(g, x, 0), difference(g, 0, x) and
-# loss_values must reproduce them bit for bit.
-
-def _wrap(a):
-    # [()]: a scalar angle gives a numpy scalar, as a scalar residue does
-    y = np.mod(a, TWO_PI)
-    return np.where(y == TWO_PI, 0.0, y)[()]
-
-
-def _canonicalize(group, x):
-    if isinstance(group, CyclicGroup):
-        return np.mod(np.asarray(x, dtype=np.int64), group.order)
-    return _wrap(np.asarray(x, dtype=np.float64))
-
-
-def _inverse(group, x):
-    if isinstance(group, CyclicGroup):
-        return np.mod(-np.asarray(x, dtype=np.int64), group.order)
-    return _wrap(-np.asarray(x, dtype=np.float64))
-
-
-def _mismatch(group, truth, estimate):
-    return (_canonicalize(group, truth) != _canonicalize(group, estimate)).astype(np.float64)
 
 
 def _compose(group, x, y):
@@ -65,10 +41,11 @@ def test_parse_group():
 
 
 def test_cyclic_order_validation():
-    with pytest.raises(ValidationError):
-        CyclicGroup(1)
-    with pytest.raises(ValidationError):
-        CyclicGroup(0)
+    # refused by name, never converted: inf and nan have no int, True is no order
+    for bad in (1, 0, 2.5, np.inf, -np.inf, np.nan, True, "5"):
+        with pytest.raises(ValidationError, match=f"^order must be an integer >= 2, got {bad!r}$"):
+            CyclicGroup(bad)
+    assert CyclicGroup(400.0) == CyclicGroup(400) and type(CyclicGroup(400.0).order) is int
 
 
 def test_identity_and_canonicalize():
@@ -108,20 +85,20 @@ def test_difference_reproduces_old_canonicalize_and_inverse_cyclic(group):
     order = group.order
     reps = np.arange(-3 * order, 3 * order + 1, dtype=np.int64)
     for x in (reps, reps[: 2 * order].reshape(2, order), reps.tolist()):
-        assert _same_bits(difference(group, x, 0), _canonicalize(group, x))
-        assert _same_bits(difference(group, 0, x), _inverse(group, x))
+        assert _same_bits(difference(group, x, 0), reference.canonical(group, x))
+        assert _same_bits(difference(group, 0, x), reference.inverse(group, x))
     for x in (-order - 1, -1, 0, order - 1, order, 5 * order + 2):
-        assert _same_bits(difference(group, x, 0), _canonicalize(group, x))
-        assert _same_bits(difference(group, 0, x), _inverse(group, x))
+        assert _same_bits(difference(group, x, 0), reference.canonical(group, x))
+        assert _same_bits(difference(group, 0, x), reference.inverse(group, x))
 
 
 def test_difference_reproduces_old_canonicalize_and_inverse_circle():
     for x in (_ANGLES, _ANGLES.reshape(4, 4), _ANGLES.tolist()):
-        assert _same_bits(difference(U1, x, 0), _canonicalize(U1, x))
-        assert _same_bits(difference(U1, 0, x), _inverse(U1, x))
+        assert _same_bits(difference(U1, x, 0), reference.canonical(U1, x))
+        assert _same_bits(difference(U1, 0, x), reference.inverse(U1, x))
     for x in _ANGLES.tolist():
-        assert _same_bits(difference(U1, x, 0), _canonicalize(U1, x))
-        assert _same_bits(difference(U1, 0, x), _inverse(U1, x))
+        assert _same_bits(difference(U1, x, 0), reference.canonical(U1, x))
+        assert _same_bits(difference(U1, 0, x), reference.inverse(U1, x))
     assert difference(U1, 0, -0.0) == 0.0 and difference(U1, 0, TWO_PI) == 0.0
     assert difference(U1, 0, -1e-20) == 1e-20
 
@@ -135,24 +112,6 @@ def test_scalar_inputs_give_numpy_scalars():
             assert type(got) is kind
         assert difference(group, [x], y).shape == (1,)
         assert round_to_group(group, np.array([[z]])).shape == (1, 1)
-
-
-# Test-side copies of the np.mod residues that difference and round_to_group
-# computed before they reduced with fmod in place.
-
-def _old_difference(group, x, y):
-    if isinstance(group, CyclicGroup):
-        return np.mod(np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64), group.order)
-    return _wrap(np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64))
-
-
-def _old_round(group, z):
-    z = np.asarray(z)
-    if isinstance(group, CyclicGroup):
-        t = np.angle(z) / TWO_PI * group.order
-        k = np.where((t == -0.5) | (z == 0), 0.0, np.ceil(t - 0.5))
-        return np.mod(k.astype(np.int64), group.order)
-    return np.where(z == 0, 0.0, _wrap(np.angle(z)))[()]
 
 
 def _near_turns(k):
@@ -177,9 +136,9 @@ _ANGLE_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, 
 def test_difference_circle_bytes_match_np_mod(x, data):
     y = data.draw(hnp.arrays(np.float64, x.shape, elements=_EDGE_ANGLES))
     for a, b in ((x, y), (y, x), (x, 0), (0, x), (x, -0.0)):
-        assert _same_bits(difference(U1, a, b), _old_difference(U1, a, b))
+        assert _same_bits(difference(U1, a, b), reference.difference(U1, a, b))
     for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
-        assert _same_bits(difference(U1, a, b), _old_difference(U1, a, b))
+        assert _same_bits(difference(U1, a, b), reference.difference(U1, a, b))
 
 
 @given(st.sampled_from([2, 3, 4, 5, 7, 1000]),
@@ -192,9 +151,9 @@ def test_difference_cyclic_bytes_match_np_mod(order, x, data):
     g = CyclicGroup(order)
     y = data.draw(hnp.arrays(np.int64, x.shape, elements=st.integers(-2**62, 2**62)))
     for a, b in ((x, y), (y, x), (x, 0), (0, x)):
-        assert _same_bits(difference(g, a, b), _old_difference(g, a, b))
+        assert _same_bits(difference(g, a, b), reference.difference(g, a, b))
     for a, b in zip(x.ravel().tolist(), y.ravel().tolist()):
-        assert _same_bits(difference(g, a, b), _old_difference(g, a, b))
+        assert _same_bits(difference(g, a, b), reference.difference(g, a, b))
 
 
 @given(st.sampled_from([U1] + [CyclicGroup(L) for L in (2, 3, 4, 5, 7, 1000)]),
@@ -205,17 +164,9 @@ def test_round_to_group_bytes_match_np_mod(group, real, shape, data):
     if not real:
         z = z.astype(np.complex128)  # keeps the signbit of each real part
         z.imag = data.draw(parts)
-    assert _same_bits(round_to_group(group, z), _old_round(group, z))
+    assert _same_bits(round_to_group(group, z), reference.round_to_group(group, z))
     for w in z.ravel().tolist():
-        assert _same_bits(round_to_group(group, w), _old_round(group, w))
-
-
-# Test-side copy of the reduction that ran fmod on every value: skipping it
-# inside (-m, m) must keep every bit, NaN and +-inf included.
-
-def _old_residue(d, modulus):
-    np.fmod(d, modulus, out=d)
-    d += (d < 0) * modulus
+        assert _same_bits(round_to_group(group, w), reference.round_to_group(group, w))
 
 
 _INT64 = np.iinfo(np.int64)
@@ -248,7 +199,7 @@ def test_residue_guard_edges_match_fmod_everywhere(modulus):
         got, want = d.copy(), d.copy()
         with np.errstate(invalid="ignore"):  # fmod(+-inf) is NaN
             _residue(got, modulus)
-            _old_residue(want, modulus)
+            reference.residue(want, modulus)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -258,15 +209,15 @@ def test_difference_guard_edges_both_groups():
         g = CyclicGroup(order)
         edges = _guard_edges(order)
         for x in (edges, edges[:0], np.asarray(edges[3])):
-            assert _same_bits(difference(g, x, 0), _old_difference(g, x, 0))
+            assert _same_bits(difference(g, x, 0), reference.difference(g, x, 0))
         reps = np.array([0, 1, order - 1, order, -order, -(order - 1)], dtype=np.int64)
         a, b = np.meshgrid(reps, reps)
-        assert _same_bits(difference(g, a, b), _old_difference(g, a, b))
+        assert _same_bits(difference(g, a, b), reference.difference(g, a, b))
     edges = _guard_edges(TWO_PI)
     with np.errstate(invalid="ignore"):
         for x in (edges, edges[:0], np.asarray(-0.0), np.asarray(TWO_PI)):
             for a, b in ((x, 0), (0, x), (x, -0.0)):
-                assert _same_bits(difference(U1, a, b), _old_difference(U1, a, b))
+                assert _same_bits(difference(U1, a, b), reference.difference(U1, a, b))
 
 
 _REAL_FIELD = st.one_of(
@@ -284,13 +235,13 @@ def test_round_real_field_closed_form(order, x):
     g = CyclicGroup(order)
     got = round_to_group(g, x)
     assert _same_bits(got, round_to_group(g, x + 0j))
-    assert _same_bits(got, _old_round(g, x.astype(np.complex128)))
+    assert _same_bits(got, reference.round_to_group(g, x.astype(np.complex128)))
     assert _same_bits(round_to_group(g, x.astype(np.complex128)), got)
     for w in x.ravel().tolist():
-        assert _same_bits(round_to_group(g, w), _old_round(g, complex(w)))
+        assert _same_bits(round_to_group(g, w), reference.round_to_group(g, complex(w)))
     small = np.abs(x) < 1e3
     xs = np.where(small, x, 0.0)
-    expect, gap = _table_round(g, xs)
+    expect, gap = reference.table_round(g, xs)
     clear = small & (gap > 1e-12 * (1.0 + xs ** 2))
     assert np.array_equal(np.asarray(got)[clear], expect[clear])
 
@@ -345,7 +296,7 @@ def test_character_matches_canonical_table_lookup(order, shape, data):
     g = CyclicGroup(order)
     x = data.draw(hnp.arrays(np.int64, shape, elements=st.integers(-3 * order, 3 * order)))
     got = character(g, x)
-    want = character_table(g)[_canonicalize(g, x)]
+    want = character_table(g)[reference.canonical(g, x)]
     assert type(got) is type(want) and np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
     assert np.array_equal(character(g, x.tolist()), want)  # Python ints and lists
@@ -428,17 +379,6 @@ def test_round_inverts_character():
     assert np.allclose(round_to_group(U1, character(U1, ang)), ang, atol=1e-12)
 
 
-def _table_round(group, z):
-    """Reference rounding: argmin of |z - chi(k)|^2 over the character table.
-
-    Returns the residues and the gap between the two smallest distances.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    d2 = np.abs(z[..., None] - character_table(group)) ** 2
-    two = np.sort(d2, axis=-1)[..., :2]
-    return np.where(z == 0, 0, np.argmin(d2, axis=-1)), two[..., 1] - two[..., 0]
-
-
 _coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
@@ -453,7 +393,7 @@ def test_round_matches_bruteforce_oracle(order, real, shape, data):
                                  elements=st.builds(complex, _coords, _coords)))
     got = round_to_group(g, z)
     assert np.shape(got) == z.shape
-    expect, gap = _table_round(g, z)
+    expect, gap = reference.table_round(g, z)
     clear = gap > 1e-12 * (1.0 + np.abs(z) ** 2)
     assert np.array_equal(np.asarray(got)[clear], expect[clear])
 
@@ -493,15 +433,16 @@ def test_loss_values_reproduces_old_mismatch(group):
     rng = stream(21, "loss", order)
     t = haar_sample(group, (50, 50), rng)
     e = np.where(rng.random((50, 50)) < 0.5, t, haar_sample(group, (50, 50), rng))
-    assert _same_bits(loss_values(group, t, e), _mismatch(group, t, e))
+    assert _same_bits(loss_values(group, t, e), reference.mismatch(group, t, e))
     shifts = rng.integers(-3, 4, size=(2, 50, 50)) * order
-    assert _same_bits(loss_values(group, t + shifts[0], e + shifts[1]), _mismatch(group, t, e))
+    assert _same_bits(loss_values(group, t + shifts[0], e + shifts[1]),
+                      reference.mismatch(group, t, e))
     reps = np.arange(-2 * order, 2 * order + 1)
     a, b = np.meshgrid(reps, reps)
-    assert _same_bits(loss_values(group, a, b), _mismatch(group, a, b))
-    assert _same_bits(loss_values(group, a.tolist(), b.tolist()), _mismatch(group, a, b))
+    assert _same_bits(loss_values(group, a, b), reference.mismatch(group, a, b))
+    assert _same_bits(loss_values(group, a.tolist(), b.tolist()), reference.mismatch(group, a, b))
     for x, y in ((-1, order - 1), (order, 0), (-order, order), (1, order + 2), (3, 3)):
-        assert _same_bits(loss_values(group, x, y), _mismatch(group, x, y))
+        assert _same_bits(loss_values(group, x, y), reference.mismatch(group, x, y))
 
 
 def test_average_loss_basics():
@@ -529,7 +470,7 @@ def test_cyclic_average_loss_is_the_old_mean(order, n, agree, seed):
     shifts = rng.integers(-3, 4, size=(2, n, n)) * order
     for a, b in ((t, e), (t + shifts[0], e + shifts[1]), (t, e + shifts[1])):
         got = average_loss(g, a, b)
-        want = float(np.mean(_mismatch(g, a, b)))
+        want = reference.average_loss(g, a, b)
         assert type(got) is float and got.hex() == want.hex()
 
 

@@ -10,7 +10,6 @@ import json
 import math
 import os
 import re
-import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from spikesim import ensembles as ensembles_module
 from spikesim import groups as groups_module
 from spikesim import predictions as predictions_module
 from spikesim.ensembles import ENTRY_LAWS
-from spikesim.groups import CyclicGroup, default_loss, rounding_rule
+from spikesim.groups import default_loss, rounding_rule
 from spikesim.harness import (
     SweepConfig,
     UniversalityConfig,
@@ -52,10 +51,11 @@ from spikesim.harness.report import (
     UniversalityReport,
     summarize_trials,
 )
-from spikesim.harness.universality import (MOMENT_MATCH_TOL, _draw_pairs, _signal_vector,
-                                          check_moment_match)
-from spikesim.matrices import HermitianMatrix, symmetrize
+from spikesim.harness.universality import _draw_pairs, _signal_vector, check_moment_match
+from spikesim.matrices import HermitianMatrix
 from spikesim.rng import stream
+
+import reference
 
 Z2 = parse_group("Z/2")
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -84,11 +84,12 @@ master_seed = 5
 
 
 def tiny_sweep_config(**overrides):
-    base = dict(group=Z2, n=60, theta_grid=(1.5, 2.5), trials=3,
-                noise_model="truth-or-haar", rounding="nearest-character",
-                loss="mismatch", mc_samples=2000, master_seed=5)
-    base.update(overrides)
-    return SweepConfig(**base)
+    """A small Z/2 sweep; rounding and loss follow the group unless given."""
+    group = overrides.get("group", Z2)
+    base = dict(group=Z2, n=60, theta_grid=(1.5, 2.5), trials=3, noise_model="truth-or-haar",
+                rounding=rounding_rule(group), loss=default_loss(group), mc_samples=2000,
+                master_seed=5)
+    return SweepConfig(**{**base, **overrides})
 
 
 # -------------------------------------------------------------- config files
@@ -178,8 +179,7 @@ def test_sweep_config_echo_round_trip():
     back = SweepConfig.from_echo(echo)
     assert back == tiny_sweep_config(out_dir=".")
     # each group's rounding and loss survive the echo, as does the noise model
-    for other in (tiny_sweep_config(group=parse_group("U(1)"), rounding="phase",
-                                    loss="one-minus-cos", noise_model="gaussian-additive"),
+    for other in (tiny_sweep_config(group=parse_group("U(1)"), noise_model="gaussian-additive"),
                   tiny_sweep_config(group=parse_group("Z/5"), theta_grid=(1.5, 2.0, 3.0))):
         assert SweepConfig.from_echo(json.loads(json.dumps(other.echo()))) == other
 
@@ -377,29 +377,42 @@ def test_run_sweep_structure():
 @pytest.mark.parametrize("noise_model", ["truth-or-haar", "gaussian-additive"])
 @pytest.mark.parametrize("group", ["Z/2", "Z/5", "U(1)"], ids=lambda g: g.replace("/", ""))
 def test_run_sweep_worker_invariance(tmp_path, group, noise_model):
+    # n = 400 is where the BLAS thread count has moved eigenvector bits
+    # (ROADMAP item 2); every run here gets the same thread count
     group = parse_group(group)
-    cfg = tiny_sweep_config(group=group, noise_model=noise_model,
-                            rounding=rounding_rule(group), loss=default_loss(group))
-    serial = run_sweep(cfg, workers=1)
-    threaded = run_sweep(cfg, workers=3)
-    assert serial.records == threaded.records
-    assert serial.summaries == threaded.summaries
-    p1, p3 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    write_sweep_json(serial, p1)
-    write_sweep_json(threaded, p3)
-    assert Path(p1).read_bytes() == Path(p3).read_bytes()
+    for n in (60, 400):
+        cfg = tiny_sweep_config(group=group, noise_model=noise_model, n=n)
+        serial = run_sweep(cfg, workers=1)
+        threaded = run_sweep(cfg, workers=3)
+        assert serial.records == threaded.records
+        assert serial.summaries == threaded.summaries
+        p1, p3 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        write_sweep_json(serial, p1)
+        write_sweep_json(threaded, p3)
+        assert Path(p1).read_bytes() == Path(p3).read_bytes()
+
+
+@pytest.mark.parametrize("n", [40, 200])
+@pytest.mark.parametrize("noise_model", ["truth-or-haar", "gaussian-additive"])
+@pytest.mark.parametrize("group", ["Z/2", "Z/3", "Z/4", "Z/5", "U(1)"])
+def test_run_trial_matches_reference_pipeline(group, noise_model, n):
+    # every stage but the shared eigensolver runs the slow reference: sampler,
+    # embedding or spiked sum, n^2 rounding and the mean of n^2 losses
+    group = parse_group(group)
+    cfg = tiny_sweep_config(group=group, noise_model=noise_model, n=n, trials=2)
+    for ti, theta in enumerate(cfg.theta_grid):
+        for trial in range(cfg.trials):
+            got = sweep_module._run_trial(cfg, ti, theta, trial).empirical_loss
+            assert got.hex() == reference.trial_loss(cfg, ti, theta, trial).hex(), (theta, trial)
 
 
 def test_run_sweep_other_groups():
-    z5 = run_sweep(SweepConfig(group=parse_group("Z/5"), n=50, theta_grid=(2.0,),
-                               trials=2, noise_model="gaussian-additive",
-                               rounding="nearest-character", loss="mismatch",
-                               mc_samples=1000, master_seed=1))
+    z5 = run_sweep(tiny_sweep_config(group=parse_group("Z/5"), n=50, theta_grid=(2.0,), trials=2,
+                                     noise_model="gaussian-additive", mc_samples=1000,
+                                     master_seed=1))
     assert len(z5.records) == 2
-    circle = run_sweep(SweepConfig(group=parse_group("U(1)"), n=50, theta_grid=(2.0,),
-                                   trials=2, noise_model="truth-or-haar",
-                                   rounding="phase", loss="one-minus-cos",
-                                   mc_samples=1000, master_seed=1))
+    circle = run_sweep(tiny_sweep_config(group=parse_group("U(1)"), n=50, theta_grid=(2.0,),
+                                         trials=2, mc_samples=1000, master_seed=1))
     for rec in circle.records:
         assert 0.0 <= rec.empirical_loss <= 2.0
 
@@ -425,40 +438,27 @@ def test_z2_planted_vector_bits_match_complex_table(monkeypatch):
     cfg = tiny_sweep_config(theta_grid=(2.0, 3.0), trials=2, noise_model="gaussian-additive")
     run_sweep(cfg)
     assert len(xs) == len(spikes) == 4
-    old_table = np.array([1.0 + 0.0j, -1.0 + 0.0j])
     for x, spike, h in zip(xs, spikes, hs):
-        want = (old_table[x] / np.sqrt(cfg.n)).real.copy()
+        want = (reference.OLD_Z2_TABLE[x] / np.sqrt(cfg.n)).real.copy()
         assert spike.v.dtype == want.dtype == np.float64
         assert np.array_equal(spike.v.view(np.uint8), want.view(np.uint8))
         assert h.entries.dtype == np.float64
 
 
-def test_u1_trial_peak_memory():
+def test_u1_trial_peak_memory(traced_peak):
     # one U(1) gaussian-additive trial, in units of 16 n^2 bytes (one complex
     # n x n array): chains of full-size temporaries peaked at 4.63; with each
     # array allocated once the Hermitian check of H beside the noise sets the
     # peak at about 3.1
     n = 400
     cfg = tiny_sweep_config(group=parse_group("U(1)"), n=n, theta_grid=(2.0,), trials=1,
-                            noise_model="gaussian-additive", rounding="phase",
-                            loss="one-minus-cos")
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sweep_module._run_trial(cfg, 0, 2.0, 0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak / (16 * n * n) <= 3.5
+                            noise_model="gaussian-additive")
+    assert traced_peak(sweep_module._run_trial, cfg, 0, 2.0, 0) / (16 * n * n) <= 3.5
 
 
 def test_run_sweep_strong_signal_recovers():
-    cfg = SweepConfig(group=Z2, n=200, theta_grid=(50.0,), trials=1,
-                      noise_model="gaussian-additive", rounding="nearest-character",
-                      loss="mismatch", mc_samples=1000, master_seed=2)
+    cfg = tiny_sweep_config(n=200, theta_grid=(50.0,), trials=1,
+                            noise_model="gaussian-additive", mc_samples=1000, master_seed=2)
     report = run_sweep(cfg)
     assert report.records[0].empirical_loss < 0.01
 
@@ -492,8 +492,7 @@ def test_csv_layout(tmp_path):
 
 def test_json_round_trip_idempotent(tmp_path):
     # a loaded report re-emits byte-identical csv and json
-    u1 = tiny_sweep_config(group=parse_group("U(1)"), rounding="phase",
-                           loss="one-minus-cos", noise_model="gaussian-additive")
+    u1 = tiny_sweep_config(group=parse_group("U(1)"), noise_model="gaussian-additive")
 
     def emit(report, name):
         write_sweep_json(report, str(tmp_path / f"{name}.json"))
@@ -541,27 +540,18 @@ def test_nonfinite_values_refuse_to_serialize(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-# Report digests of two small sweeps: a change to any byte a sweep writes
-# shows up here.  Taken with numpy 2.4 / scipy 1.17 on scipy's OpenBLAS 0.3.30
-# (SkylakeX kernel, x86-64); a different LAPACK build may move the last bits
-# of the eigenvectors and with them these digests.
-Z5_SWEEP_TEXT = """\
-group = Z/5
-n = 120
-theta_grid = 1.5, 2.5
-trials = 4
-noise_model = truth-or-haar
-mc_samples = 20000
-master_seed = 11
-"""
-
+# Report digests of two small sweeps, each run from its file in configs/: a
+# change to any byte a sweep writes shows up here.  Taken with numpy 2.4 /
+# scipy 1.17 on scipy's OpenBLAS 0.3.30 (SkylakeX kernel, x86-64); a different
+# LAPACK build may move the last bits of the eigenvectors and with them these
+# digests.
 PINNED_REPORTS = {
     "sweep-quick": {
         "csv": "a1b4768ca44819b7ea749c659a8870d8576c097318c62ea7e4350aeef8a63e62",
         "json": "4663354d8aab9770e6f0cd3b6b8e870014e1e8629083be2bd29d6edf7dac121c",
         "svg": "ced8cb82d60b5d03638859ea9b84dcf69a5647eb2341d6c05c06a13acdf0cd61",
     },
-    "z5-truth-or-haar": {
+    "sweep-z5-truth-or-haar": {
         "csv": "7b3b5366970723067062959493b3cd8e30e27104ad4f5f160e15d69c19799015",
         "json": "5b91da0c9f3ceeb9d884f88825be3ee8d54be0f16e7e8ed4fb86ace3cabf888a",
         "svg": "c64cb2e0c937481e3ee22f2e15f8a29dcdffb3dcecbfb4bd80dcd29e5fbab827",
@@ -571,54 +561,11 @@ PINNED_REPORTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_report_bytes_pinned(tmp_path, name):
-    if name == "sweep-quick":
-        cfg_path = str(CONFIGS_DIR / "sweep-quick.cfg")
-    else:
-        cfg_path = write_config(tmp_path, Z5_SWEEP_TEXT)
     out_dir = tmp_path / "out"
-    assert main(["sweep", cfg_path, "--out-dir", str(out_dir)]) == 0
+    assert main(["sweep", str(CONFIGS_DIR / f"{name}.cfg"), "--out-dir", str(out_dir)]) == 0
     digests = {ext: hashlib.sha256((out_dir / f"report.{ext}").read_bytes()).hexdigest()
                for ext in ("csv", "json", "svg")}
     assert digests == PINNED_REPORTS[name]
-
-
-# Test-side copies of the Z/L kernels as they ran before each became one pass:
-# fmod on every value, the angle path for real input, the mean of the n^2 0/1
-# losses, and the n x n character matrix symmetrized.  Unlike a pinned digest,
-# comparing whole runs against them holds on any CPU, and it covers U(1).
-
-def _old_residue(d, modulus):
-    np.fmod(d, modulus, out=d)
-    d += (d < 0) * modulus
-
-
-def _old_round_to_group(group, z):
-    z = np.asarray(z)
-    if isinstance(group, CyclicGroup):
-        t = np.angle(z) / groups_module.TWO_PI * group.order
-        k = np.where((t == -0.5) | (z == 0), 0.0, np.ceil(t - 0.5)).astype(np.int64)
-        _old_residue(k, group.order)
-        return k[()]
-    a = np.asarray(np.angle(z))
-    groups_module._wrap_angle(a)
-    a[z == 0] = 0.0
-    return a[()]
-
-
-def _old_average_loss(group, m_true, m_est):
-    return float(np.mean(groups_module.loss_values(group, m_true, m_est)))
-
-
-def _old_sync_observation_matrix(group, y):
-    n = (1 + math.isqrt(1 + 8 * y.size)) // 2
-    root_n = np.sqrt(n)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    above = groups_module.character(group, y) / root_n
-    c = np.empty((n, n), dtype=above.dtype)
-    c[upper] = above
-    c.T[upper] = groups_module.character(group, groups_module.difference(group, 0, y)) / root_n
-    np.fill_diagonal(c, 1.0 / root_n)
-    return HermitianMatrix(symmetrize(c))
 
 
 def _report_bytes(report, out_dir):
@@ -634,17 +581,21 @@ def _report_bytes(report, out_dir):
                                                 ("U(1)", "gaussian-additive")])
 def test_run_sweep_bytes_match_old_kernels(tmp_path, monkeypatch, group, noise_model):
     group = parse_group(group)
-    cfg = tiny_sweep_config(group=group, noise_model=noise_model, n=40, trials=2,
-                            rounding=rounding_rule(group), loss=default_loss(group))
+    cfg = tiny_sweep_config(group=group, noise_model=noise_model, n=40, trials=2)
     new = _report_bytes(run_sweep(cfg, workers=2), tmp_path / "new")
+    # the old kernels from the reference module; unlike a pinned digest, the
+    # comparison holds on any CPU, and it covers U(1) and the predictions
+    def embed(group, y):
+        return HermitianMatrix(reference.sync_observation_matrix(group, y))
+
     for module, name, old in (
-            (groups_module, "_residue", _old_residue),
-            (groups_module, "round_to_group", _old_round_to_group),
-            (predictions_module, "round_to_group", _old_round_to_group),
-            (groups_module, "average_loss", _old_average_loss),
-            (sweep_module, "average_loss", _old_average_loss),
-            (ensembles_module, "sync_observation_matrix", _old_sync_observation_matrix),
-            (sweep_module, "sync_observation_matrix", _old_sync_observation_matrix)):
+            (groups_module, "_residue", reference.residue),
+            (groups_module, "round_to_group", reference.round_to_group),
+            (predictions_module, "round_to_group", reference.round_to_group),
+            (groups_module, "average_loss", reference.average_loss),
+            (sweep_module, "average_loss", reference.average_loss),
+            (ensembles_module, "sync_observation_matrix", embed),
+            (sweep_module, "sync_observation_matrix", embed)):
         monkeypatch.setattr(module, name, old)
     assert _report_bytes(run_sweep(cfg, workers=2), tmp_path / "old") == new
 
@@ -745,33 +696,6 @@ def test_universality_moment_gate():
     run_universality_ab(**ckw)
 
 
-def _reference_gate(spec_a, spec_b):
-    """The gate as it read per-part second moments (re2, im2): None when
-    matched, "field" on a field mismatch, else the worst deviation."""
-    def parts(spec):
-        n = spec.n
-        if spec.kind == "goe":
-            return 1.0 / n, 0.0, "R"
-        if spec.kind == "gue":
-            return 0.5 / n, 0.5 / n, "C"
-        var = 1.0 / n if spec.variance_profile is None else spec.variance_profile
-        if spec.field == "R":
-            return var, 0.0, "R"
-        return var / 2.0, var / 2.0, "C"
-
-    (re_a, im_a, field_a), (re_b, im_b, field_b) = parts(spec_a), parts(spec_b)
-    if field_a != field_b:
-        return "field"
-    for a, b in ((re_a, re_b), (im_a, im_b)):
-        diff = np.abs(a - b)
-        if np.ndim(diff):
-            np.fill_diagonal(diff, 0.0)
-        worst = float(np.max(diff))
-        if worst > MOMENT_MATCH_TOL:
-            return worst
-    return None
-
-
 def test_moment_gate_matches_per_part_reference():
     n = 60
     specs = [EnsembleSpec(kind="goe", n=n), EnsembleSpec(kind="gue", n=n, field="C")]
@@ -785,7 +709,7 @@ def test_moment_gate_matches_per_part_reference():
     refused = 0
     for a in specs:
         for b in specs:
-            expected = _reference_gate(a, b)
+            expected = reference.moment_gate(a, b)
             if expected is None:
                 check_moment_match(a, b)
                 continue
@@ -852,10 +776,10 @@ def test_universality_complex_typed_real_signal_matches_real_signal():
 
 
 def test_universality_worker_invariance():
-    kw = small_ab_kwargs()
-    serial = run_universality_ab(**kw)
-    threaded = run_universality_ab(**kw, workers=2)
-    assert serial.pairs == threaded.pairs
+    # n = 400 as in the sweep worker test: the size where BLAS threads can show
+    for n in (60, 400):
+        kw = small_ab_kwargs(n=n)
+        assert run_universality_ab(**kw).pairs == run_universality_ab(**kw, workers=2).pairs
 
 
 def test_universality_control_within_noise():
@@ -929,10 +853,9 @@ def test_svg_render_basic():
 def test_svg_single_point_and_multi_report():
     single = run_sweep(tiny_sweep_config(theta_grid=(1.5,), trials=2))
     assert "<svg" in render_sweep_svg(single)
-    other = run_sweep(SweepConfig(group=parse_group("Z/5"), n=50, theta_grid=(1.5,),
-                                  trials=2, noise_model="gaussian-additive",
-                                  rounding="nearest-character", loss="mismatch",
-                                  mc_samples=1000, master_seed=1))
+    other = run_sweep(tiny_sweep_config(group=parse_group("Z/5"), n=50, theta_grid=(1.5,),
+                                        trials=2, noise_model="gaussian-additive",
+                                        mc_samples=1000, master_seed=1))
     combined = render_sweep_svg([single, other])
     assert "Z/2 truth-or-haar n=60" in combined
     assert "Z/5 gaussian-additive n=50" in combined

@@ -6,7 +6,6 @@ frozen constants are checked against an independent route.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +19,9 @@ from spikesim import (
     z2_mismatch_exact,
 )
 from spikesim import groups, predictions
-from spikesim.limits import overlap_limit, residual_variance_limit
 from spikesim.predictions import BLOCK, CHUNK
-from spikesim.rng import stream
+
+import reference
 
 Z2 = parse_group("Z/2")
 Z5 = parse_group("Z/5")
@@ -193,44 +192,10 @@ def test_z2_prediction_bits_match_complex_table(monkeypatch, theta, seed):
     real = predict_sync_loss(Z2, theta, n_samples=20000, seed=seed)
     table = groups.character_table
     monkeypatch.setattr(groups, "character_table",
-                        lambda g: np.array([1.0 + 0.0j, -1.0 + 0.0j]) if g == Z2 else table(g))
+                        lambda g: reference.OLD_Z2_TABLE if g == Z2 else table(g))
     assert character(Z2, 1).dtype == np.complex128
     old = predict_sync_loss(Z2, theta, n_samples=20000, seed=seed)
     assert (real.mean.hex(), real.stderr.hex()) == (old.mean.hex(), old.stderr.hex())
-
-
-# ------------------------------------------------ blocked against unblocked
-# The kernel before blocking, kept as the reference: each step ran over the
-# whole chunk at once, and the complex Gaussians were built as
-# (a + 1j * b) / sqrt(2) through complex temporaries.
-
-def unblocked_gaussians(rng, m, field):
-    if field == "R":
-        return rng.standard_normal(m)
-    return (rng.standard_normal(m) + 1.0j * rng.standard_normal(m)) / np.sqrt(2.0)
-
-
-def unblocked_prediction(group, theta, n_samples, seed):
-    field = "R" if groups.real_field(group) else "C"
-    rho = math.sqrt(overlap_limit(theta))
-    tau = math.sqrt(residual_variance_limit(theta))
-    total = total_sq = 0.0
-    for index, done in enumerate(range(0, n_samples, CHUNK)):
-        m = min(CHUNK, n_samples - done)
-        rng = stream(seed, "chunk", index)
-        x = groups.haar_sample(group, m, rng)
-        y = groups.haar_sample(group, m, rng)
-        g = unblocked_gaussians(rng, m, field)
-        h = unblocked_gaussians(rng, m, field)
-        prod = (rho * character(group, x) + tau * g) \
-            * (rho * np.conj(character(group, y)) + tau * np.conj(h))
-        decoded = groups.round_to_group(group, prod)
-        vals = groups.loss_values(group, groups.difference(group, x, y), decoded)
-        total += float(vals.sum())
-        total_sq += float(np.square(vals).sum())
-    mean = total / n_samples
-    var = max(0.0, total_sq - n_samples * mean * mean) / max(1, n_samples - 1)
-    return mean, math.sqrt(var / n_samples)
 
 
 @pytest.mark.parametrize("text", ["Z/2", "Z/3", "Z/4", "Z/5", "U(1)"])
@@ -240,7 +205,7 @@ def test_blocked_prediction_bits_match_unblocked_kernel(text):
         for seed in (0, 9):
             for n in (1000, BLOCK - 1, BLOCK + 1, CHUNK + 1000):
                 est = predict_sync_loss(group, theta, n_samples=n, seed=seed)
-                mean, err = unblocked_prediction(group, theta, n, seed)
+                mean, err = reference.prediction(group, theta, n, seed)
                 assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), err.hex()), \
                     (theta, seed, n)
 
@@ -256,37 +221,27 @@ def test_block_size_moves_no_bit(monkeypatch, group):
         assert (est.mean.hex(), est.stderr.hex()) == (default.mean.hex(), default.stderr.hex())
 
 
-def peak_units(group, m):
+def peak_units(traced_peak, group, m):
     """Traced peak of one m-sample prediction, in units of 8 bytes per chunk
     sample (per sample below one chunk)."""
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        predict_sync_loss(group, 2.0, n_samples=m, seed=0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    return peak / (8 * min(m, CHUNK))
+    return traced_peak(predict_sync_loss, group, 2.0, n_samples=m, seed=0) / (8 * min(m, CHUNK))
 
 
 @pytest.mark.parametrize("group, bound", [(Z2, 6.0), (Z5, 8.0), (U1, 8.0)], ids=str)
-def test_prediction_peak_memory(group, bound):
+def test_prediction_peak_memory(group, bound, traced_peak):
     # in units of 8 bytes per sample: x, y, g and h hold 4 units for Z/2 and
     # 6 for a complex field, the loss values 1 more; everything else is
     # block-sized (the unblocked kernel peaked at 9.0 and 12.1 units).  The
     # complex margin, 7.75 units against 8, counts on numpy's temporary
     # elision (a temporary operand's buffer takes the result), as on Linux
-    assert peak_units(group, 1 << 18) <= bound
+    assert peak_units(traced_peak, group, 1 << 18) <= bound
 
 
 @pytest.mark.parametrize("group, bound", [(Z2, 5.75), (Z5, 9.0), (U1, 9.0)], ids=str)
-def test_prediction_peak_memory_across_chunks(group, bound):
+def test_prediction_peak_memory_across_chunks(group, bound, traced_peak):
     # three chunks, in units of 8 bytes per chunk sample: each chunk's draws
     # and loss values are freed before the next chunk draws, so the peak is
     # one chunk's (about 5.1 units for Z/2, 7.2 complex).  Holding the last
     # chunk's loss values adds 1 unit; holding its draws too reaches 6.0
     # units for Z/2 and 10 for a complex field
-    assert peak_units(group, 2 * CHUNK + 1000) <= bound
+    assert peak_units(traced_peak, group, 2 * CHUNK + 1000) <= bound

@@ -34,6 +34,8 @@ from spikesim import (
     top_eigenpair,
 )
 
+import reference
+
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
@@ -205,24 +207,6 @@ def test_resolvent_zero_rhs_dtype_matches_nonzero(sampler, z, b_dtype):
     assert zero.dtype == resolvent_solve(w, z, np.ones(8, dtype=b_dtype)).dtype
 
 
-def _direct_lu_solve(w, z, b):
-    """Reference: LU of zI - W built in the dtype the shift needs, no residual check."""
-    n = w.shape[0]
-    if np.iscomplexobj(w) or complex(z).imag != 0.0:
-        a = z * np.eye(n, dtype=np.complex128) - w
-    else:
-        a = float(z) * np.eye(n) - w
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
-
-
-def _direct_posv_solve(w, z, b):
-    """Reference: one ?posv call on zI - W for a real z, no residual check."""
-    a = z * np.eye(w.shape[0], dtype=w.dtype) - w
-    _, x, info = scipy.linalg.get_lapack_funcs("posv", (a, b))(a, b, lower=1)
-    assert info == 0
-    return x
-
-
 def _rhs(n, rhs):
     rng = stream(21, "rhs")
     b = rng.standard_normal(n)
@@ -231,10 +215,10 @@ def _rhs(n, rhs):
     return b
 
 
-def _assert_solve_bits(w, z, b, reference):
+def _assert_solve_bits(w, z, b, solve):
     b_before = b.copy()
     x = resolvent_solve(w, z, b)
-    ref = reference(w, z, b)
+    ref = solve(w, z, b)
     assert x.dtype == ref.dtype and x.shape == ref.shape
     assert np.array_equal(x, ref)
     assert np.array_equal(b, b_before)
@@ -260,7 +244,7 @@ def lu_factors(monkeypatch):
 def test_resolvent_solve_matches_direct_lu_bits(field, z, rhs):
     n = 60
     w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
-    _assert_solve_bits(w, z, _rhs(n, rhs), _direct_lu_solve)
+    _assert_solve_bits(w, z, _rhs(n, rhs), reference.lu_solve)
 
 
 @pytest.mark.parametrize("field", ["R", "C"])
@@ -271,7 +255,7 @@ def test_resolvent_solve_matches_direct_posv_bits(field, z, rhs, lu_factors):
     n = 60
     w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
     assert z > np.linalg.eigvalsh(w)[-1]
-    _assert_solve_bits(w, z, _rhs(n, rhs), _direct_posv_solve)
+    _assert_solve_bits(w, z, _rhs(n, rhs), reference.posv_solve)
     assert lu_factors == []
 
 
@@ -291,7 +275,7 @@ def test_resolvent_solve_real_shift_falls_back_to_lu_bits(field, case, lu_factor
         skew = stream(21, "skew").standard_normal(n * (n - 1) // 2)
         w[np.triu_indices(n, 1)] += 0.5 * skew / np.sqrt(n)
         z = 4.0
-    _assert_solve_bits(w, z, _rhs(n, "real-vector"), _direct_lu_solve)
+    _assert_solve_bits(w, z, _rhs(n, "real-vector"), reference.lu_solve)
     assert lu_factors == [(n, n)] * 2  # the solve's fallback, then the reference
 
 
@@ -373,31 +357,6 @@ def test_secular_root_subcritical_raises():
         secular_root(w.entries, v, 0.5)
 
 
-def _bisect_secular_root(w, v, theta):
-    """Slow reference: bisection to 1e-12 on the default bracket, then one Newton polish."""
-    wm = np.asarray(w)
-    lam_top = float(np.linalg.eigvalsh(wm)[-1])
-    lo, hi = lam_top + 0.05, lam_top + theta + 1.0
-
-    def f_and_slope(z):
-        x = resolvent_solve(wm, z, v)
-        return float(np.real(np.vdot(v, x))) - 1.0 / theta, -float(np.real(np.vdot(x, x)))
-
-    if not f_and_slope(lo)[0] > 0.0 > f_and_slope(hi)[0]:
-        return None
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if f_and_slope(mid)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    fz, slope = f_and_slope(z)
-    return z - fz / slope
-
-
 @pytest.fixture
 def solve_shifts(monkeypatch):
     """Record the shift of every resolvent solve made through the module."""
@@ -414,7 +373,7 @@ def solve_shifts(monkeypatch):
 
 def _assert_newton_root(w, v, theta, shifts):
     """Newton root against the slow reference and full eigvalsh of the spiked matrix."""
-    ref = _bisect_secular_root(w.entries, v, theta)
+    ref = reference.secular_root(w.entries, v, theta)
     shifts.clear()
     if ref is None:
         with pytest.raises(BracketError):
@@ -464,23 +423,15 @@ def test_secular_root_step_cap_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
-def test_secular_root_default_bracket_matches_full_eigvalsh(sampler, monkeypatch):
+def test_secular_root_default_bracket_matches_full_eigvalsh(sampler, solve_shifts):
     n, theta = 60, 2.0
     v = unit(np.ones(n))
     w = sampler(n, 12)
     lam_top = float(np.linalg.eigvalsh(w.entries)[-1])
-    shifts = []
-    solve = spikesim.spectral.resolvent_solve
-
-    def recording_solve(wm, z, b):
-        shifts.append(z)
-        return solve(wm, z, b)
-
-    monkeypatch.setattr(spikesim.spectral, "resolvent_solve", recording_solve)
     secular_root(w, v, theta)
     # the first two solves evaluate f at the bracket ends
-    assert abs(shifts[0] - (lam_top + 0.05)) <= 1e-12
-    assert abs(shifts[1] - (lam_top + theta + 1.0)) <= 1e-12
+    assert abs(solve_shifts[0] - (lam_top + 0.05)) <= 1e-12
+    assert abs(solve_shifts[1] - (lam_top + theta + 1.0)) <= 1e-12
 
 
 def test_secular_root_argument_validation():
