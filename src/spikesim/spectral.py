@@ -10,7 +10,11 @@ v* (zI - W)^{-1} v = 1/theta, and the top eigenvector is proportional to
 cross-check the eigensolver, plus an isotropic local-law residual diagnostic.
 Every shift of those two routes is real and above spec(W), where zI - W is
 positive definite, so a real shift is factored by Cholesky; a complex shift,
-and a real one Cholesky cannot solve, is factored by LU.
+and a real one Cholesky cannot solve, is factored by LU.  A real W solves a
+complex right-hand side as two real columns.  The secular root decides
+"outlier or not" by two such residual-checked solves at its bracket ends; its
+Newton iterates run on one tridiagonal reduction W = Q T Q*, which reads only
+one triangle of W, at O(n) per step.
 
 Dense linear algebra runs on scipy's BLAS only.  numpy and scipy may each
 bundle their own BLAS, each with its own thread pool; a numpy matrix product
@@ -126,9 +130,9 @@ def _shifted(wm: np.ndarray, z, dtype) -> np.ndarray:
 def _cholesky_solve(wm: np.ndarray, z: float, b: np.ndarray, dtype, norm_b: float):
     """(zI - W)^{-1} b by Cholesky for a real shift z, or None where that fails.
 
-    None when LAPACK finds zI - W not positive definite, or when the relative
-    residual of z x - W x - b, which reads both triangles of W, exceeds
-    SOLVE_RTOL.
+    ``b`` holds its right-hand sides as columns.  None when LAPACK finds
+    zI - W not positive definite, or when the relative residual of
+    z x - W x - b, which reads both triangles of W, exceeds SOLVE_RTOL.
     """
     a = _shifted(wm, z, dtype)
     # LAPACK reads the C-ordered a in place as a.T: the same matrix when a is
@@ -142,8 +146,8 @@ def _cholesky_solve(wm: np.ndarray, z: float, b: np.ndarray, dtype, norm_b: floa
     if conj:
         np.conjugate(x, out=x)
     # the factor overwrote a, so the residual is taken against W
-    gemv = scipy.linalg.get_blas_funcs("gemv", (wm, x))
-    r = gemv(-1.0, wm.T, x, beta=1.0, y=z * x - b, overwrite_y=1, trans=1)
+    gemm = scipy.linalg.get_blas_funcs("gemm", (wm, x))
+    r = gemm(-1.0, wm.T, x, beta=1.0, c=z * x - b, overwrite_c=1, trans_a=1)
     rel = np.linalg.norm(r) / norm_b
     return x if rel <= SOLVE_RTOL else None
 
@@ -154,7 +158,9 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     A real shift is tried first by Cholesky, which succeeds when zI - W is
     positive definite, as it is for Hermitian W and z above spec(W).  A
     complex shift, and a real one where Cholesky reports "not positive
-    definite" or misses the residual bound, is solved by LU.
+    definite" or misses the residual bound, is solved by LU.  A real W at a
+    real shift solves a complex b as the two real columns [Re b, Im b] on one
+    real factorization, so W is never cast to complex.
 
     Raises SingularShiftError when the relative residual of the LU solution
     exceeds 1e-10, which is how shifts too close to spec(W) are detected, and
@@ -174,22 +180,26 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
         return np.zeros(b.shape, dtype=np.result_type(dtype, b.dtype))
-    if real_shift:
-        x = _cholesky_solve(wm, shift, b, dtype, norm_b)
-        if x is not None:
-            return x
-    a = _shifted(wm, shift, dtype)
-    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), b,
-                              check_finite=False)
-    # a x - b on the BLAS that did the LU.  a is C-ordered, so BLAS gets a.T,
-    # which it reads in place, with the transpose flag set.
-    gemv = scipy.linalg.get_blas_funcs("gemv", (a, x))
-    r = gemv(1.0, a.T, x, beta=-1.0, y=b, trans=1)
-    rel = np.linalg.norm(r) / norm_b
-    if not np.isfinite(rel) or rel > SOLVE_RTOL:
-        raise SingularShiftError(
-            f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
-    return x
+    split = dtype is np.float64 and np.iscomplexobj(b)
+    rhs = np.column_stack((b.real, b.imag)) if split else b[:, None]
+    x = _cholesky_solve(wm, shift, rhs, dtype, norm_b) if real_shift else None
+    if x is None:
+        a = _shifted(wm, shift, dtype)
+        x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), rhs,
+                                  check_finite=False)
+        # a x - b on the BLAS that did the LU.  a is C-ordered, so BLAS gets
+        # a.T, which it reads in place, with the transpose flag set.
+        gemm = scipy.linalg.get_blas_funcs("gemm", (a, x))
+        r = gemm(1.0, a.T, x, beta=-1.0, c=rhs, trans_a=1)
+        rel = np.linalg.norm(r) / norm_b
+        if not np.isfinite(rel) or rel > SOLVE_RTOL:
+            raise SingularShiftError(
+                f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
+    if not split:
+        return x[:, 0]
+    out = np.empty(n, dtype=np.complex128)
+    out.real, out.imag = x[:, 0], x[:, 1]
+    return out
 
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -201,29 +211,80 @@ def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
+def _tridiagonal(wm: np.ndarray, v: np.ndarray):
+    """(d, e, u): W = Q T Q* by one ?sytrd/?hetrd, and u = Q* v.
+
+    T is real symmetric tridiagonal, with diagonal d and subdiagonal e, for
+    real and complex W alike.  u holds real columns, [Q* v] or
+    [Re Q* v, Im Q* v], so that v* (zI - W)^{-1} v = u · (zI - T)^{-1} u.
+    The reduction reads one triangle of W.
+    """
+    n = wm.shape[0]
+    cplx = np.iscomplexobj(wm)
+    trd, trd_lwork = scipy.linalg.get_lapack_funcs(
+        ("hetrd", "hetrd_lwork") if cplx else ("sytrd", "sytrd_lwork"), (wm,))
+    lwork, _ = trd_lwork(n, lower=1)
+    # LAPACK reads the C-ordered W as W.T, which is conj(W) when W is
+    # Hermitian; conj(W) = Q T Q* gives the same u · (zI - T)^{-1} u with Q*
+    # applied to conj(v)
+    c, d, e, tau, _ = trd(wm.T, lower=1, lwork=int(np.real(lwork)))
+    if cplx:
+        u = np.conj(v).astype(np.complex128)[:, None]
+    else:
+        u = np.column_stack((v.real, v.imag) if np.iscomplexobj(v) else (v,))
+        u = u.astype(np.float64, copy=False)
+    if n > 1:
+        # Q = H(1) ... H(n-1), each reflector stored below the subdiagonal:
+        # ?ormtr for the lower triangle, which is ?ormqr on c[1:, :n-1]
+        mqr = scipy.linalg.get_lapack_funcs("unmqr" if cplx else "ormqr", (c,))
+        # the minimal workspace, one entry per column, runs the unblocked loop
+        u[1:], _, info = mqr("L", "C" if cplx else "T", c[1:, :n - 1], tau, u[1:],
+                             u.shape[1])
+        if info != 0:
+            raise RuntimeError(f"?ormqr/?unmqr failed (info {info})")
+    return d, e, u.view(np.float64) if cplx else u
+
+
+def _tridiagonal_solve(d: np.ndarray, e: np.ndarray, z: float, u: np.ndarray) -> np.ndarray:
+    """(zI - T)^{-1} u by one O(n) ?ptsv, for z above spec(T)."""
+    if d.size == 1:
+        return u / (z - d[0])
+    ptsv = scipy.linalg.get_lapack_funcs("ptsv", (d,))
+    _, _, x, info = ptsv(z - d, -e, u)
+    if info != 0:
+        raise RuntimeError(f"zI - T is not positive definite at z = {z!r} (info {info})")
+    return x
+
+
 def secular_root(w, v: np.ndarray, theta: float) -> float:
     """Solve v* (zI - W)^{-1} v = 1/theta for the outlier location.
 
-    With m(z) = v* R(z) v, the bracket is [lambda_max(W) + SECULAR_MARGIN,
-    lambda_max(W) + theta + 1]; the upper end is safe because
-    m(z) <= 1/(z - lambda_max) forces the root below lambda_max + theta.  A
-    missing sign change of m - 1/theta over the bracket raises BracketError,
-    which is the subcritical "no outlier" signal.
+    One reduction W = Q T Q* gives lambda_max(W) = lambda_max(T) and
+    m(z) = v* R(z) v = u · (zI - T)^{-1} u with u = Q* v.  The bracket is
+    [lambda_max + SECULAR_MARGIN, lambda_max + theta + 1]; the upper end is
+    safe because m(z) <= 1/(z - lambda_max) forces the root below
+    lambda_max + theta.  Both ends are evaluated by ``resolvent_solve`` on W
+    itself, the residual-checked Cholesky route.  A missing sign change of
+    m - 1/theta over the bracket raises BracketError, which is the
+    subcritical "no outlier" signal.
 
     The root is then found by Newton's method on 1/m(z) - theta from the
     lower end (Bunch, Nielsen & Sorensen 1978).  To the right of the spectrum
     1/m is increasing and concave, so the iterates rise to the root without
-    passing it.  Each step costs one solve x = R(z) v, by Cholesky since
-    zI - W is positive definite there, and m'(z) = -||x||^2.  The loop stops
+    passing it.  Each iterate costs one O(n) tridiagonal solve
+    x = (zI - T)^{-1} u, and m'(z) = -||x||^2 (Golub 1973).  The loop stops
     at the first step below SECULAR_STEP_RTOL * |z|, a negative step from
     rounding at the root included, and raises RuntimeError after
     SECULAR_MAX_STEPS steps.
 
+    Cost per root: one reduction (about (4/3) n^3 flops real) and Q* v, two
+    Cholesky factorizations of zI - W, and O(n) per Newton iterate.
+
     A raw array ``w`` must pass the ``HermitianMatrix`` checks (ValueError
-    otherwise): ``eigvalsh`` reads one triangle while each solve reads both
-    (the Cholesky residual is taken against all of W, and the LU fallback
-    factors all of it), so for any other w the bracket and the root come from
-    different matrices.
+    otherwise): the reduction reads one triangle while each bracket solve
+    reads both (the Cholesky residual is taken against all of W, and the LU
+    fallback factors all of it), so for any other w the bracket and the root
+    come from different matrices.
     """
     wm = w.entries if isinstance(w, HermitianMatrix) else _hermitian_entries(w)
     v = _check_unit(v, "v")
@@ -231,17 +292,15 @@ def secular_root(w, v: np.ndarray, theta: float) -> float:
     if not 0.0 < theta < np.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
     n = wm.shape[0]
-    lam_top = float(scipy.linalg.eigvalsh(wm, subset_by_index=[n - 1, n - 1],
-                                          driver="evr")[0])
+    d, e, u = _tridiagonal(wm, v)
+    lam_top = float(scipy.linalg.eigvalsh_tridiagonal(
+        d, e, select="i", select_range=(n - 1, n - 1), check_finite=False)[0])
     lo, hi = lam_top + SECULAR_MARGIN, lam_top + theta + 1.0
 
-    def solve(z: float):
-        x = resolvent_solve(wm, z, v)
-        return x, float(np.real(np.vdot(v, x)))
-
-    x, m = solve(lo)
+    x = resolvent_solve(wm, lo, v)
+    m = float(np.real(np.vdot(v, x)))
     flo = m - 1.0 / theta
-    fhi = solve(hi)[1] - 1.0 / theta
+    fhi = float(np.real(np.vdot(v, resolvent_solve(wm, hi, v)))) - 1.0 / theta
     if not (flo > 0.0 > fhi):
         raise BracketError(
             f"no outlier: f has no sign change over [{lo:.6g}, {hi:.6g}] "
@@ -252,7 +311,8 @@ def secular_root(w, v: np.ndarray, theta: float) -> float:
         if step <= SECULAR_STEP_RTOL * abs(z):
             return z
         z += step
-        x, m = solve(z)
+        x = _tridiagonal_solve(d, e, z, u)
+        m = float(np.vdot(u, x))
     raise RuntimeError(f"secular_root: no convergence in {SECULAR_MAX_STEPS} Newton steps "
                        f"(z = {z!r}, last step {step:.3e})")
 

@@ -269,6 +269,14 @@ def lu_solve(w, z, b):
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
 
 
+def fix_phase(vec):
+    """vec times conj(p)/|p|, with p its entry of largest modulus, the lowest
+    index on ties: the phase rule of ``top_eigenpair``, written out."""
+    mod = np.abs(vec)
+    p = vec[np.flatnonzero(mod == mod.max())[0]]
+    return vec * (np.conj(p) / abs(p))
+
+
 def posv_solve(w, z, b):
     """(zI - W)^{-1} b for a real z by one ?posv call on zI - W, with no
     residual check: the Cholesky path of 5b53fd2, written plainly."""
@@ -278,11 +286,20 @@ def posv_solve(w, z, b):
     return x
 
 
+def real_columns(solve, w, z, b):
+    """(zI - W)^{-1} b for a real W, a real z and a complex b, by ``solve`` on
+    the real n×2 right-hand side [Re b, Im b]; the two solution columns are
+    joined as Re x + i Im x.  No complex arithmetic touches W."""
+    x = solve(w, z, np.column_stack((b.real, b.imag)))
+    return x[:, 0] + 1j * x[:, 1]
+
+
 def secular_root(w, v, theta):
     """The secular root by bisection to 1e-12 on the default bracket, then one
     Newton polish, as before f866bfc; None when the bracket holds no sign
-    change.  Shares ``resolvent_solve``: the stage under test is the root
-    search, not the solve."""
+    change.  Every evaluation is a dense ``resolvent_solve`` of W, while the
+    package steps on a tridiagonal reduction of W, so only the two bracket
+    ends share a route with it."""
     wm = np.asarray(w)
     lam_top = float(np.linalg.eigvalsh(wm)[-1])
     lo, hi = lam_top + 0.05, lam_top + theta + 1.0

@@ -102,7 +102,7 @@ def _assert_matches_full_eigh(h):
     assert abs(est.eigenvalue - vals[-1]) <= tol
     assert abs(est.gap - (vals[-1] - vals[-2])) <= tol
     if est.gap > 1e-8:
-        assert np.max(np.abs(est.eigenvector - fix_phase(vecs[:, -1]))) <= 1e-10
+        assert np.max(np.abs(est.eigenvector - reference.fix_phase(vecs[:, -1]))) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 400])
@@ -255,28 +255,53 @@ def test_resolvent_solve_matches_direct_posv_bits(field, z, rhs, lu_factors):
     n = 60
     w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
     assert z > np.linalg.eigvalsh(w)[-1]
-    _assert_solve_bits(w, z, _rhs(n, rhs), reference.posv_solve)
+    b = _rhs(n, rhs)
+    if field == "R" and rhs == "complex-vector":
+        # a real W solves [Re b, Im b] as two real columns; the complex
+        # arithmetic solve it replaced still agrees to rounding
+        _assert_solve_bits(w, z, b, lambda *args: reference.real_columns(
+            reference.posv_solve, *args))
+        ref = reference.posv_solve(w, z, b)
+        assert np.linalg.norm(resolvent_solve(w, z, b) - ref) <= 1e-14 * np.linalg.norm(ref)
+    else:
+        _assert_solve_bits(w, z, b, reference.posv_solve)
     assert lu_factors == []
+
+
+def _cholesky_failure(n, field, case):
+    """(W, z) whose real shift Cholesky cannot solve.
+
+    Cholesky fails inside the spectrum ("not positive definite"), and on a raw
+    W that is not Hermitian it solves the matrix of one triangle, whose
+    residual against the whole W misses SOLVE_RTOL; both take the LU path.
+    """
+    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries.copy()
+    if case == "inside-spectrum":
+        eigs = np.linalg.eigvalsh(w)
+        k = int(np.argmax(np.diff(eigs[n // 4: 3 * n // 4]))) + n // 4
+        return w, 0.5 * (eigs[k] + eigs[k + 1])  # midway in a wide gap of the bulk
+    skew = stream(21, "skew").standard_normal(n * (n - 1) // 2)
+    w[np.triu_indices(n, 1)] += 0.5 * skew / np.sqrt(n)
+    return w, 4.0
 
 
 @pytest.mark.parametrize("field", ["R", "C"])
 @pytest.mark.parametrize("case", ["inside-spectrum", "not-hermitian"])
 def test_resolvent_solve_real_shift_falls_back_to_lu_bits(field, case, lu_factors):
-    # Cholesky fails inside the spectrum ("not positive definite"), and on a
-    # raw W that is not Hermitian it solves the matrix of one triangle, whose
-    # residual against the whole W misses SOLVE_RTOL; both take the LU path
     n = 60
-    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries.copy()
-    if case == "inside-spectrum":
-        eigs = np.linalg.eigvalsh(w)
-        k = int(np.argmax(np.diff(eigs[n // 4: 3 * n // 4]))) + n // 4
-        z = 0.5 * (eigs[k] + eigs[k + 1])  # midway in a wide gap of the bulk
-    else:
-        skew = stream(21, "skew").standard_normal(n * (n - 1) // 2)
-        w[np.triu_indices(n, 1)] += 0.5 * skew / np.sqrt(n)
-        z = 4.0
+    w, z = _cholesky_failure(n, field, case)
     _assert_solve_bits(w, z, _rhs(n, "real-vector"), reference.lu_solve)
     assert lu_factors == [(n, n)] * 2  # the solve's fallback, then the reference
+
+
+@pytest.mark.parametrize("case", ["inside-spectrum", "not-hermitian"])
+def test_resolvent_solve_lu_fallback_splits_complex_rhs_bits(case, lu_factors):
+    # a real W falls back to one real LU for both columns [Re b, Im b]
+    n = 60
+    w, z = _cholesky_failure(n, "R", case)
+    _assert_solve_bits(w, z, _rhs(n, "complex-vector"),
+                       lambda *args: reference.real_columns(reference.lu_solve, *args))
+    assert lu_factors == [(n, n)] * 2
 
 
 @pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
@@ -359,15 +384,23 @@ def test_secular_root_subcritical_raises():
 
 @pytest.fixture
 def solve_shifts(monkeypatch):
-    """Record the shift of every resolvent solve made through the module."""
+    """Record, in call order, the shift of every evaluation of the secular
+    function made through the module: the dense resolvent solves of the
+    bracket ends and the tridiagonal solves of the Newton iterates."""
     shifts = []
     solve = spikesim.spectral.resolvent_solve
+    tridiagonal_solve = spikesim.spectral._tridiagonal_solve
 
     def recording_solve(wm, z, b):
         shifts.append(z)
         return solve(wm, z, b)
 
+    def recording_tridiagonal_solve(d, e, z, u):
+        shifts.append(z)
+        return tridiagonal_solve(d, e, z, u)
+
     monkeypatch.setattr(spikesim.spectral, "resolvent_solve", recording_solve)
+    monkeypatch.setattr(spikesim.spectral, "_tridiagonal_solve", recording_tridiagonal_solve)
     return shifts
 
 
@@ -397,12 +430,53 @@ def _assert_newton_root(w, v, theta, shifts):
 @pytest.mark.parametrize("n", [2, 3, 10, 40, 200])
 @pytest.mark.parametrize("field", ["R", "C"])
 def test_secular_root_newton_matches_reference(n, field, solve_shifts):
-    found = 0
+    found = stepped = 0
     for seed in range(2):
         w, v = _noise_and_signal(n, field, seed)
         for theta in (0.5, 1.2, 2.0, 10.0):
-            found += _assert_newton_root(w, v, theta, solve_shifts) is not None
+            if _assert_newton_root(w, v, theta, solve_shifts) is not None:
+                found += 1
+                stepped += len(solve_shifts) > 2
     assert found >= 4  # theta >= 2 clears the bracket margin at these sizes
+    assert stepped == found  # every root took Newton steps, so the checks saw them
+
+
+def _complex_signal_on_real_noise(n, seed):
+    w, _ = _noise_and_signal(n, "R", seed)
+    g = stream(seed, "complex-signal")
+    v = g.standard_normal(n) + 1j * g.standard_normal(n)
+    return w, v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
+@pytest.mark.parametrize("case", ["GOE", "GUE", "GOE-complex-v"])
+def test_tridiagonal_secular_function_matches_resolvent(n, case):
+    # m(z) and ||R(z) v||^2 from one reduction W = Q T Q* against dense
+    # resolvent solves of W itself, at shifts above the spectrum
+    if case == "GOE-complex-v":
+        w, v = _complex_signal_on_real_noise(n, n)
+    else:
+        w, v = _noise_and_signal(n, "R" if case == "GOE" else "C", n)
+    d, e, u = spikesim.spectral._tridiagonal(w.entries, v)
+    eigs = np.linalg.eigvalsh(w.entries)
+    tol = 1e-12 * max(1.0, np.max(np.abs(eigs)))
+    assert np.max(np.abs(scipy.linalg.eigvalsh_tridiagonal(d, e) - eigs)) <= tol
+    for z in eigs[-1] + np.array([0.05, 0.5, 3.0, 20.0]):
+        x = spikesim.spectral._tridiagonal_solve(d, e, z, u)
+        ref = resolvent_solve(w, z, v)
+        m_ref = float(np.real(np.vdot(v, ref)))
+        assert abs(float(np.vdot(u, x)) - m_ref) <= 1e-12 * m_ref
+        assert abs(float(np.vdot(x, x)) / float(np.real(np.vdot(ref, ref))) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 40, 200])
+def test_secular_root_complex_v_on_real_w(n, solve_shifts):
+    found = 0
+    for seed in range(2):
+        w, v = _complex_signal_on_real_noise(n, seed)
+        for theta in (0.5, 2.0, 10.0):
+            found += _assert_newton_root(w, v, theta, solve_shifts) is not None
+    assert found >= 4
 
 
 @settings(max_examples=40, deadline=None,
@@ -446,9 +520,9 @@ def test_secular_root_argument_validation():
 
 
 def test_secular_root_refuses_raw_w_that_is_not_hermitian(monkeypatch):
-    # eigvalsh reads one triangle while each resolvent solve reads both (the
-    # Cholesky residual against W and the LU fallback), so a raw w that is
-    # not exactly Hermitian is refused before any solve
+    # the tridiagonal reduction reads one triangle while each bracket solve
+    # reads both (the Cholesky residual against W and the LU fallback), so a
+    # raw w that is not exactly Hermitian is refused before any solve
     n = 200
     w = sample_goe(n, stream(19, "w")).entries.copy()
     w[np.triu_indices(n, 1)] += 0.5 / np.sqrt(n)
