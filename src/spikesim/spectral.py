@@ -10,11 +10,10 @@ v* (zI - W)^{-1} v = 1/theta, and the top eigenvector is proportional to
 cross-check the eigensolver, plus an isotropic local-law residual diagnostic.
 Every shift of those two routes is real and above spec(W), where zI - W is
 positive definite, so a real shift is factored by Cholesky; a complex shift,
-and a real one Cholesky cannot solve, is factored by LU.  A real W solves a
-complex right-hand side as two real columns.  The secular root decides
-"outlier or not" by two such residual-checked solves at its bracket ends; its
-Newton iterates run on one tridiagonal reduction W = Q T Q*, which reads only
-one triangle of W, at O(n) per step.
+and a real one Cholesky cannot solve, is factored by LU.  The secular root
+decides "outlier or not" by two such residual-checked solves at its bracket
+ends; its Newton iterates run on one tridiagonal reduction W = Q T Q*, which
+reads only one triangle of W, at O(n) per step.
 
 Dense linear algebra runs on scipy's BLAS only.  numpy and scipy may each
 bundle their own BLAS, each with its own thread pool; a numpy matrix product
@@ -130,9 +129,9 @@ def _shifted(wm: np.ndarray, z, dtype) -> np.ndarray:
 def _cholesky_solve(wm: np.ndarray, z: float, b: np.ndarray, dtype, norm_b: float):
     """(zI - W)^{-1} b by Cholesky for a real shift z, or None where that fails.
 
-    ``b`` holds its right-hand sides as columns.  None when LAPACK finds
-    zI - W not positive definite, or when the relative residual of
-    z x - W x - b, which reads both triangles of W, exceeds SOLVE_RTOL.
+    None when LAPACK finds zI - W not positive definite, or when the relative
+    residual of z x - W x - b, which reads both triangles of W, exceeds
+    SOLVE_RTOL.
     """
     a = _shifted(wm, z, dtype)
     # LAPACK reads the C-ordered a in place as a.T: the same matrix when a is
@@ -146,8 +145,8 @@ def _cholesky_solve(wm: np.ndarray, z: float, b: np.ndarray, dtype, norm_b: floa
     if conj:
         np.conjugate(x, out=x)
     # the factor overwrote a, so the residual is taken against W
-    gemm = scipy.linalg.get_blas_funcs("gemm", (wm, x))
-    r = gemm(-1.0, wm.T, x, beta=1.0, c=z * x - b, overwrite_c=1, trans_a=1)
+    gemv = scipy.linalg.get_blas_funcs("gemv", (wm, x))
+    r = gemv(-1.0, wm.T, x, beta=1.0, y=z * x - b, overwrite_y=1, trans=1)
     rel = np.linalg.norm(r) / norm_b
     return x if rel <= SOLVE_RTOL else None
 
@@ -158,9 +157,7 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     A real shift is tried first by Cholesky, which succeeds when zI - W is
     positive definite, as it is for Hermitian W and z above spec(W).  A
     complex shift, and a real one where Cholesky reports "not positive
-    definite" or misses the residual bound, is solved by LU.  A real W at a
-    real shift solves a complex b as the two real columns [Re b, Im b] on one
-    real factorization, so W is never cast to complex.
+    definite" or misses the residual bound, is solved by LU.
 
     Raises SingularShiftError when the relative residual of the LU solution
     exceeds 1e-10, which is how shifts too close to spec(W) are detected, and
@@ -180,26 +177,22 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
         return np.zeros(b.shape, dtype=np.result_type(dtype, b.dtype))
-    split = dtype is np.float64 and np.iscomplexobj(b)
-    rhs = np.column_stack((b.real, b.imag)) if split else b[:, None]
-    x = _cholesky_solve(wm, shift, rhs, dtype, norm_b) if real_shift else None
-    if x is None:
-        a = _shifted(wm, shift, dtype)
-        x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), rhs,
-                                  check_finite=False)
-        # a x - b on the BLAS that did the LU.  a is C-ordered, so BLAS gets
-        # a.T, which it reads in place, with the transpose flag set.
-        gemm = scipy.linalg.get_blas_funcs("gemm", (a, x))
-        r = gemm(1.0, a.T, x, beta=-1.0, c=rhs, trans_a=1)
-        rel = np.linalg.norm(r) / norm_b
-        if not np.isfinite(rel) or rel > SOLVE_RTOL:
-            raise SingularShiftError(
-                f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
-    if not split:
-        return x[:, 0]
-    out = np.empty(n, dtype=np.complex128)
-    out.real, out.imag = x[:, 0], x[:, 1]
-    return out
+    if real_shift:
+        x = _cholesky_solve(wm, shift, b, dtype, norm_b)
+        if x is not None:
+            return x
+    a = _shifted(wm, shift, dtype)
+    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), b,
+                              check_finite=False)
+    # a x - b on the BLAS that did the LU.  a is C-ordered, so BLAS gets a.T,
+    # which it reads in place, with the transpose flag set.
+    gemv = scipy.linalg.get_blas_funcs("gemv", (a, x))
+    r = gemv(1.0, a.T, x, beta=-1.0, y=b, trans=1)
+    rel = np.linalg.norm(r) / norm_b
+    if not np.isfinite(rel) or rel > SOLVE_RTOL:
+        raise SingularShiftError(
+            f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
+    return x
 
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -235,11 +228,15 @@ def _tridiagonal(wm: np.ndarray, v: np.ndarray):
         u = u.astype(np.float64, copy=False)
     if n > 1:
         # Q = H(1) ... H(n-1), each reflector stored below the subdiagonal:
-        # ?ormtr for the lower triangle, which is ?ormqr on c[1:, :n-1]
+        # ?ormtr for the lower triangle, which is ?ormqr on c[1:, :n-1].  That
+        # slice is strided, so f2py would copy it; the n×(n-1) window of the
+        # Fortran-ordered c that starts at c[1, 0] is contiguous and holds
+        # the same reflectors with leading dimension n.  Its last row, which
+        # wraps into the next column, is never read: Q* acts on n-1 rows.
+        refl = c.reshape(-1, order="F")[1:1 + n * (n - 1)].reshape(n, n - 1, order="F")
         mqr = scipy.linalg.get_lapack_funcs("unmqr" if cplx else "ormqr", (c,))
         # the minimal workspace, one entry per column, runs the unblocked loop
-        u[1:], _, info = mqr("L", "C" if cplx else "T", c[1:, :n - 1], tau, u[1:],
-                             u.shape[1])
+        u[1:], _, info = mqr("L", "C" if cplx else "T", refl, tau, u[1:], u.shape[1])
         if info != 0:
             raise RuntimeError(f"?ormqr/?unmqr failed (info {info})")
     return d, e, u.view(np.float64) if cplx else u

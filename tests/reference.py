@@ -286,14 +286,6 @@ def posv_solve(w, z, b):
     return x
 
 
-def real_columns(solve, w, z, b):
-    """(zI - W)^{-1} b for a real W, a real z and a complex b, by ``solve`` on
-    the real n×2 right-hand side [Re b, Im b]; the two solution columns are
-    joined as Re x + i Im x.  No complex arithmetic touches W."""
-    x = solve(w, z, np.column_stack((b.real, b.imag)))
-    return x[:, 0] + 1j * x[:, 1]
-
-
 def secular_root(w, v, theta):
     """The secular root by bisection to 1e-12 on the default bracket, then one
     Newton polish, as before f866bfc; None when the bracket holds no sign

@@ -255,53 +255,28 @@ def test_resolvent_solve_matches_direct_posv_bits(field, z, rhs, lu_factors):
     n = 60
     w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
     assert z > np.linalg.eigvalsh(w)[-1]
-    b = _rhs(n, rhs)
-    if field == "R" and rhs == "complex-vector":
-        # a real W solves [Re b, Im b] as two real columns; the complex
-        # arithmetic solve it replaced still agrees to rounding
-        _assert_solve_bits(w, z, b, lambda *args: reference.real_columns(
-            reference.posv_solve, *args))
-        ref = reference.posv_solve(w, z, b)
-        assert np.linalg.norm(resolvent_solve(w, z, b) - ref) <= 1e-14 * np.linalg.norm(ref)
-    else:
-        _assert_solve_bits(w, z, b, reference.posv_solve)
+    _assert_solve_bits(w, z, _rhs(n, rhs), reference.posv_solve)
     assert lu_factors == []
-
-
-def _cholesky_failure(n, field, case):
-    """(W, z) whose real shift Cholesky cannot solve.
-
-    Cholesky fails inside the spectrum ("not positive definite"), and on a raw
-    W that is not Hermitian it solves the matrix of one triangle, whose
-    residual against the whole W misses SOLVE_RTOL; both take the LU path.
-    """
-    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries.copy()
-    if case == "inside-spectrum":
-        eigs = np.linalg.eigvalsh(w)
-        k = int(np.argmax(np.diff(eigs[n // 4: 3 * n // 4]))) + n // 4
-        return w, 0.5 * (eigs[k] + eigs[k + 1])  # midway in a wide gap of the bulk
-    skew = stream(21, "skew").standard_normal(n * (n - 1) // 2)
-    w[np.triu_indices(n, 1)] += 0.5 * skew / np.sqrt(n)
-    return w, 4.0
 
 
 @pytest.mark.parametrize("field", ["R", "C"])
 @pytest.mark.parametrize("case", ["inside-spectrum", "not-hermitian"])
 def test_resolvent_solve_real_shift_falls_back_to_lu_bits(field, case, lu_factors):
+    # Cholesky fails inside the spectrum ("not positive definite"), and on a
+    # raw W that is not Hermitian it solves the matrix of one triangle, whose
+    # residual against the whole W misses SOLVE_RTOL; both take the LU path
     n = 60
-    w, z = _cholesky_failure(n, field, case)
+    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries.copy()
+    if case == "inside-spectrum":
+        eigs = np.linalg.eigvalsh(w)
+        k = int(np.argmax(np.diff(eigs[n // 4: 3 * n // 4]))) + n // 4
+        z = 0.5 * (eigs[k] + eigs[k + 1])  # midway in a wide gap of the bulk
+    else:
+        skew = stream(21, "skew").standard_normal(n * (n - 1) // 2)
+        w[np.triu_indices(n, 1)] += 0.5 * skew / np.sqrt(n)
+        z = 4.0
     _assert_solve_bits(w, z, _rhs(n, "real-vector"), reference.lu_solve)
     assert lu_factors == [(n, n)] * 2  # the solve's fallback, then the reference
-
-
-@pytest.mark.parametrize("case", ["inside-spectrum", "not-hermitian"])
-def test_resolvent_solve_lu_fallback_splits_complex_rhs_bits(case, lu_factors):
-    # a real W falls back to one real LU for both columns [Re b, Im b]
-    n = 60
-    w, z = _cholesky_failure(n, "R", case)
-    _assert_solve_bits(w, z, _rhs(n, "complex-vector"),
-                       lambda *args: reference.real_columns(reference.lu_solve, *args))
-    assert lu_factors == [(n, n)] * 2
 
 
 @pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
@@ -506,6 +481,16 @@ def test_secular_root_default_bracket_matches_full_eigvalsh(sampler, solve_shift
     # the first two solves evaluate f at the bracket ends
     assert abs(solve_shifts[0] - (lam_top + 0.05)) <= 1e-12
     assert abs(solve_shifts[1] - (lam_top + theta + 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
+def test_secular_root_peak_memory(sampler, traced_peak):
+    # one n×n working copy at a time: the reduction's, then each bracket
+    # factorization's; a copy of the reflectors for Q* v would read about 2.1
+    n = 400
+    w = sampler(n, stream(23, "w"))
+    v = unit(stream(23, "v").standard_normal(n)).astype(w.entries.dtype)
+    assert traced_peak(secular_root, w, v, 2.0) / w.entries.nbytes <= 1.5
 
 
 def test_secular_root_argument_validation():
