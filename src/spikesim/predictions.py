@@ -13,12 +13,17 @@ q = Phi(-sqrt(theta^2 - 1)).
 
 One loop runs over chunks of ``CHUNK`` samples, each with its own named
 stream, and adds each chunk's two float sums in chunk order, so an estimate is
-reproducible for a given seed.  Each chunk draws its x, y, g and h
-full-length, in that order; the arithmetic after the draws then runs over
-blocks of ``BLOCK`` samples, so only the draws and the chunk's loss values are
-chunk-sized, and they are freed before the next chunk draws.  Only ``CHUNK``
-names streams: every step after the draws is elementwise, so the block size
-moves no bit of an estimate.
+reproducible for a given seed.  Each chunk draws x, y, g and h in that order.
+Draws from one stream come out in order, so the chunk's last draw (all of h
+for F = R; h's imaginary parts for F = C, whose real parts come whole first)
+is taken block by block with the same values, inside the loop over blocks of
+``BLOCK`` samples that runs the arithmetic.  Only the earlier draws are
+chunk-sized, cyclic x and y in the smallest unsigned type that holds a
+residue, and they are freed before the next chunk draws.  A cyclic loss is
+0 or 1, so its sums are the exact mismatch count and no loss values are
+stored; U(1) keeps the chunk's loss values, whose pairwise float sum fixes
+the bits.  Only ``CHUNK`` names streams: every step is elementwise and the
+draws keep their order, so the block size moves no bit of an estimate.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .groups import (Group, character, difference, haar_sample, loss_values,
+from .errors import checked_int
+from .groups import (CyclicGroup, Group, character, difference, haar_sample, loss_values,
                      real_field, round_to_group)
 from .limits import overlap_limit, residual_variance_limit
 from .rng import stream
@@ -40,8 +45,8 @@ DEFAULT_SAMPLES = 10 ** 6
 # so the chunk size names the Monte Carlo streams: changing it moves every bit
 # of any estimate that crosses a chunk boundary under the old or the new size.
 CHUNK = 1 << 20
-# Samples per block of the arithmetic after a chunk's draws.  It names no
-# stream and moves no bit; it keeps that arithmetic's temporaries at a few
+# Samples per block of a chunk's arithmetic and of its last draw.  It names no
+# stream and moves no bit; it keeps the block's draw and temporaries at a few
 # block-sized arrays (about 1.5 MB for a complex field) whatever the chunk size.
 BLOCK = 1 << 15
 
@@ -65,16 +70,27 @@ def _check_supercritical(theta: float) -> float:
     return theta
 
 
-def _gaussians(rng: np.random.Generator, m: int, field: str) -> np.ndarray:
-    if field == "R":
-        return rng.standard_normal(m)
-    # the bits of (a + 1j * b) / sqrt(2): numpy divides a complex by a real by
-    # multiplying each part by the reciprocal, here without complex temporaries
+def _gaussian(parts: list[np.ndarray]) -> np.ndarray:
+    """A standard F-Gaussian from its standard normal parts: the one part for
+    F = R, (a + 1j * b) / sqrt(2) for the parts a, b of F = C.  Those are the
+    bits of that quotient: numpy divides a complex by a real by multiplying
+    each part by the reciprocal, here without complex temporaries."""
+    if len(parts) == 1:
+        return parts[0]
     scale = 1.0 / np.sqrt(2.0)
-    z = np.empty(m, dtype=np.complex128)
-    np.multiply(rng.standard_normal(m), scale, out=z.real)
-    np.multiply(rng.standard_normal(m), scale, out=z.imag)
+    z = np.empty(parts[0].size, dtype=np.complex128)
+    np.multiply(parts[0], scale, out=z.real)
+    np.multiply(parts[1], scale, out=z.imag)
     return z
+
+
+def _haar(group: Group, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m Haar elements; residues in the smallest unsigned type that holds
+    them (``character`` and ``difference`` widen each block to int64)."""
+    x = haar_sample(group, m, rng)
+    if isinstance(group, CyclicGroup):
+        return x.astype(np.min_scalar_type(group.order - 1))
+    return x
 
 
 def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPLES,
@@ -87,12 +103,14 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
     and the rounded value.
     """
     theta = _check_supercritical(theta)
-    if n_samples < MIN_SAMPLES:
-        raise ValidationError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+    n_samples = checked_int(n_samples, "n_samples", MIN_SAMPLES)
     if not isinstance(seed, (int, np.integer)):
         raise TypeError("seed must be an int (named chunk streams are derived from it)")
-    n_samples, seed = int(n_samples), int(seed)
-    field = "R" if real_field(group) else "C"
+    seed = int(seed)
+    cyclic = isinstance(group, CyclicGroup)
+    # g's standard normal parts, then h's: one each for F = R, the real and the
+    # imaginary part for F = C.  All but h's last part are drawn whole
+    half = 1 if real_field(group) else 2
     rho = math.sqrt(overlap_limit(theta))
     tau = math.sqrt(residual_variance_limit(theta))
     total = 0.0
@@ -100,21 +118,31 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
     for index, done in enumerate(range(0, n_samples, CHUNK)):
         m = min(CHUNK, n_samples - done)
         rng = stream(seed, "chunk", index)
-        x = haar_sample(group, m, rng)
-        y = haar_sample(group, m, rng)
-        g = _gaussians(rng, m, field)
-        h = _gaussians(rng, m, field)
-        vals = np.empty(m)
+        x = _haar(group, m, rng)
+        y = _haar(group, m, rng)
+        whole = [rng.standard_normal(m) for _ in range(2 * half - 1)]
+        vals = None if cyclic else np.empty(m)
         for lo in range(0, m, BLOCK):
             b = slice(lo, lo + BLOCK)
+            parts = [p[b] for p in whole]
+            parts.append(rng.standard_normal(parts[0].size))  # the last, per block
             decoded = round_to_group(
-                group, (rho * character(group, x[b]) + tau * g[b])
-                * (rho * np.conj(character(group, y[b])) + tau * np.conj(h[b])))
-            vals[b] = loss_values(group, difference(group, x[b], y[b]), decoded)
+                group, (rho * character(group, x[b]) + tau * _gaussian(parts[:half]))
+                * (rho * np.conj(character(group, y[b]))
+                   + tau * np.conj(_gaussian(parts[half:]))))
+            del parts  # not held beside the loss temporaries
+            if cyclic:
+                # 0/1 losses: their sum and sum of squares are this exact count
+                hits = int(np.count_nonzero(difference(group, x[b], y[b]) != decoded))
+                total += hits
+                total_sq += hits
+            else:
+                vals[b] = loss_values(group, difference(group, x[b], y[b]), decoded)
             del decoded  # not held beside the next block's temporaries
-        total += float(vals.sum())
-        total_sq += float(np.square(vals, out=vals).sum())
-        del x, y, g, h, vals  # not held beside the next chunk's draws
+        if not cyclic:
+            total += float(vals.sum())
+            total_sq += float(np.square(vals, out=vals).sum())
+        del x, y, whole, vals  # not held beside the next chunk's draws
     mean = total / n_samples
     var = max(0.0, total_sq - n_samples * mean * mean) / (n_samples - 1)
     return PredictionEstimate(mean=mean, stderr=math.sqrt(var / n_samples),

@@ -90,6 +90,10 @@ def test_mc_supercritical_only():
 def test_mc_sample_floor_and_seed_type():
     with pytest.raises(ValidationError):
         predict_sync_loss(Z2, 2.0, n_samples=999)
+    for bad in (1000.7, np.inf, np.nan, True):
+        with pytest.raises(ValidationError, match="n_samples"):
+            predict_sync_loss(Z2, 2.0, n_samples=bad)
+    assert predict_sync_loss(Z2, 2.0, n_samples=1000.0).n_samples == 1000
     with pytest.raises(TypeError):
         predict_sync_loss(Z2, 2.0, n_samples=1000, seed="abc")
 
@@ -114,6 +118,13 @@ def test_mc_two_chunks_pinned():
     est = predict_sync_loss(Z2, 2.0, n_samples=CHUNK + 1000, seed=3)
     assert est.mean == 0.07981318170384993
     assert est.stderr == 0.00026452612925435793
+    # the complex fields, whose last draw is h's imaginary parts
+    est = predict_sync_loss(Z5, 2.0, n_samples=CHUNK + 1000, seed=3)
+    assert est.mean == 0.3083978673292834
+    assert est.stderr == 0.00045079294035007297
+    est = predict_sync_loss(U1, 2.0, n_samples=CHUNK + 1000, seed=3)
+    assert est.mean == 0.1897095732210317
+    assert est.stderr == 0.00027035231432297115
 
 
 def test_mc_stderr_scales_with_samples():
@@ -210,9 +221,10 @@ def test_blocked_prediction_bits_match_unblocked_kernel(text):
                     (theta, seed, n)
 
 
-@pytest.mark.parametrize("group", [Z5, U1], ids=str)
+@pytest.mark.parametrize("group", [Z2, Z5, U1], ids=str)
 def test_block_size_moves_no_bit(monkeypatch, group):
-    # only CHUNK names streams; BLOCK just slices the arithmetic after the draws
+    # only CHUNK names streams; BLOCK slices the arithmetic and the chunk's
+    # last draw (all of h for Z/2, h's imaginary parts otherwise)
     n = 3 * BLOCK + 5
     default = predict_sync_loss(group, 2.0, n_samples=n, seed=6)
     for block in (1000, 4097, CHUNK):
@@ -221,27 +233,42 @@ def test_block_size_moves_no_bit(monkeypatch, group):
         assert (est.mean.hex(), est.stderr.hex()) == (default.mean.hex(), default.stderr.hex())
 
 
+@pytest.mark.parametrize("text, dtype", [("Z/256", np.uint8), ("Z/257", np.uint16)],
+                         ids=["Z/256", "Z/257"])
+def test_residue_type_boundary_matches_reference(text, dtype):
+    group = parse_group(text)
+    assert predictions._haar(group, 4, np.random.default_rng(0)).dtype == dtype
+    est = predict_sync_loss(group, 2.0, n_samples=BLOCK + 1, seed=11)
+    mean, err = reference.prediction(group, 2.0, BLOCK + 1, 11)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), err.hex())
+
+
 def peak_units(traced_peak, group, m):
     """Traced peak of one m-sample prediction, in units of 8 bytes per chunk
     sample (per sample below one chunk)."""
     return traced_peak(predict_sync_loss, group, 2.0, n_samples=m, seed=0) / (8 * min(m, CHUNK))
 
 
-@pytest.mark.parametrize("group, bound", [(Z2, 6.0), (Z5, 8.0), (U1, 8.0)], ids=str)
+@pytest.mark.parametrize("group, bound", [(Z2, 2.25), (Z5, 4.75), (U1, 7.5)],
+                         ids=["Z/2", "Z/5", "U(1)"])
 def test_prediction_peak_memory(group, bound, traced_peak):
-    # in units of 8 bytes per sample: x, y, g and h hold 4 units for Z/2 and
-    # 6 for a complex field, the loss values 1 more; everything else is
-    # block-sized (the unblocked kernel peaked at 9.0 and 12.1 units).  The
-    # complex margin, 7.75 units against 8, counts on numpy's temporary
-    # elision (a temporary operand's buffer takes the result), as on Linux
+    # in units of 8 bytes per sample: the whole draws are g (1 unit) for Z/2,
+    # g and h's real parts (3 units) for a complex field, and x and y (1/4
+    # unit as cyclic residues, 2 units as U(1) angles); U(1) holds its loss
+    # values (1 unit) too.  At 2^18 samples a block is 1/8 unit, and the
+    # block's draw and temporaries add about 0.5 unit for Z/2 and 1.1 for a
+    # complex field: 1.75, 4.38 and 7.13 units in all, with numpy's temporary
+    # elision (a temporary operand's buffer takes the result), as on Linux.
+    # Drawing h whole, or keeping the cyclic loss values or int64 residues,
+    # fails the Z/2 bound
     assert peak_units(traced_peak, group, 1 << 18) <= bound
 
 
-@pytest.mark.parametrize("group, bound", [(Z2, 5.75), (Z5, 9.0), (U1, 9.0)], ids=str)
+@pytest.mark.parametrize("group, bound", [(Z2, 1.75), (Z5, 4.0), (U1, 6.75)],
+                         ids=["Z/2", "Z/5", "U(1)"])
 def test_prediction_peak_memory_across_chunks(group, bound, traced_peak):
     # three chunks, in units of 8 bytes per chunk sample: each chunk's draws
     # and loss values are freed before the next chunk draws, so the peak is
-    # one chunk's (about 5.1 units for Z/2, 7.2 complex).  Holding the last
-    # chunk's loss values adds 1 unit; holding its draws too reaches 6.0
-    # units for Z/2 and 10 for a complex field
+    # one chunk's (1.38 units for Z/2, 3.53 for Z/5, 6.28 for U(1)).  Holding
+    # a chunk's draws into the next reads 2.38, 6.25 and 9.0 units
     assert peak_units(traced_peak, group, 2 * CHUNK + 1000) <= bound
