@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, checked_int
+from .errors import ValidationError, checked_int, checked_real
 from .groups import CyclicGroup, Group, character, difference, haar_sample
 from .matrices import HermitianMatrix, symmetrize
 from .rng import as_generator
@@ -210,7 +210,7 @@ class SpikeConfig:
     v: np.ndarray
 
     def __post_init__(self):
-        theta = float(self.theta)
+        theta = checked_real(self.theta, "theta")
         if not np.isfinite(theta) or theta < 0.0:
             raise ValidationError(f"theta must be finite and >= 0, got {theta!r}")
         object.__setattr__(self, "theta", theta)
@@ -247,7 +247,7 @@ def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
     Y_ji = Y_ij^{-1} and Y_ii = identity are definitions, not data, so they are
     not stored.
     """
-    p = float(p)
+    p = checked_real(p, "p")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     x = np.asarray(x)

@@ -9,14 +9,12 @@ errors so typos cannot silently change an experiment.
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from ..ensembles import EnsembleSpec
-from ..errors import ValidationError
+from ..errors import ValidationError, checked_int, checked_real
 from ..groups import Group, default_loss, parse_group, rounding_rule
 from ..predictions import DEFAULT_SAMPLES, MIN_SAMPLES
 
@@ -60,20 +58,12 @@ def _parse_float(text: str, key: str) -> float:
         raise ValidationError(f"key {key!r}: expected a number, got {text!r}") from None
 
 
-def echoed_int(value, key: str) -> int:
-    """An integer field of an echoed config or a loaded report: JSON may spell
-    120 as 120.0, but 120.7, inf and nan are refused, not truncated."""
-    if not (type(value) is int or type(value) is float and value.is_integer()):
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def echoed(value, key: str, kind: type):
-    """A float, str or list of an echoed config or a loaded report, read by its
-    JSON type: a float is a JSON number, neither a bool nor a numeric string."""
-    if type(value) not in ((int, float) if kind is float else (kind,)):
+    """A str or list of an echoed config or a loaded report, read by its JSON
+    type: 12 is not a str and "ab" is not a list."""
+    if type(value) is not kind:
         raise ValidationError(f"{key} must be a {kind.__name__}, got {value!r}")
-    return kind(value)
+    return value
 
 
 def _parse_grid(text: str, key: str) -> tuple[float, ...]:
@@ -81,17 +71,17 @@ def _parse_grid(text: str, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(p, key) for p in items)
 
 
-# each declared field type: (its config-file text reader, its JSON reader);
-# a JSON value must have the field's JSON type, so neither "1.5" nor true is a
-# float, 12 is not a str and 120.7 is not an int
+# each declared field type: (its config-file text reader, its reader of a value
+# built in Python or loaded from JSON); neither "1.5" nor true is a float,
+# 120.7 is not an int and 12 is not a str
 _READERS = {
-    "int": (_parse_int, echoed_int),
-    "float": (_parse_float, lambda value, key: echoed(value, key, float)),
+    "int": (_parse_int, checked_int),
+    "float": (_parse_float, checked_real),
     "str": (lambda text, key: text, lambda value, key: echoed(value, key, str)),
     "Group": (lambda text, key: parse_group(text),
               lambda value, key: parse_group(echoed(value, key, str))),
     "tuple[float, ...]": (_parse_grid, lambda value, key: tuple(
-        echoed(t, f"{key} item", float) for t in echoed(value, key, list))),
+        checked_real(t, f"{key} item") for t in echoed(value, key, list))),
 }
 
 
@@ -185,10 +175,10 @@ class SweepConfig:
             grid = () if isinstance(self.theta_grid, str) else tuple(self.theta_grid)
         except TypeError:  # not iterable
             grid = ()
-        if not grid or not all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in grid):
-            raise ValidationError("theta_grid must hold at least one theta value, each a real "
-                                  f"number, got {self.theta_grid!r}")
-        grid = tuple(float(t) for t in grid)
+        if not grid:
+            raise ValidationError("theta_grid must hold at least one theta value, "
+                                  f"got {self.theta_grid!r}")
+        grid = tuple(checked_real(t, "theta_grid item") for t in grid)
         object.__setattr__(self, "theta_grid", grid)
         for theta in grid:
             if not np.isfinite(theta) or theta <= 1.0:
@@ -215,17 +205,6 @@ class SweepConfig:
     def from_echo(cls, data: dict, out_dir: str = ".") -> "SweepConfig":
         """Inverse of ``echo``: every field read by its declared type."""
         return from_json(cls, data, _SWEEP_ECHO_KEYS, out_dir=out_dir)
-
-
-def read_workers(workers) -> int:
-    """The thread count of a run: an integer of at least 1."""
-    try:
-        workers = operator.index(workers)
-    except TypeError:
-        raise ValidationError(f"workers must be an integer, got {workers!r}") from None
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 def parse_sweep_config(path: str) -> SweepConfig:

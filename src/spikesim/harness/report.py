@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .. import __version__
-from ..errors import ValidationError
+from ..errors import ValidationError, checked_real
 from .config import SweepConfig, echoed, from_json
 
 CSV_COLUMNS = ("group", "n", "noise_model", "theta", "trial", "seed",
@@ -147,7 +147,7 @@ def load_sweep_report(path: str) -> SweepReport:
         version = echoed(meta.get("version", __version__), "version", str)
         wall_time_s = meta.get("wall_time_s")
         if wall_time_s is not None:
-            wall_time_s = echoed(wall_time_s, "wall_time_s", float)
+            wall_time_s = checked_real(wall_time_s, "wall_time_s")
     except KeyError as exc:
         raise ValidationError(
             f"{path}: not a sweep report, missing key {exc.args[0]!r}") from None

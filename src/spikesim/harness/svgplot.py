@@ -104,7 +104,7 @@ def render_sweep_svg(reports) -> str:
         color = SERIES_COLORS[report.config.noise_model]
         for s in report.summaries:
             px, py = ax.x(s.theta), ax.y(s.empirical_mean)
-            stderr = s.empirical_std / np.sqrt(max(report.config.trials, 1))
+            stderr = s.empirical_std / np.sqrt(report.config.trials)
             lo, hi = ax.y(s.empirical_mean - stderr), ax.y(s.empirical_mean + stderr)
             parts.append(f'<line x1="{_px(px)}" y1="{_px(lo)}" x2="{_px(px)}" '
                          f'y2="{_px(hi)}" stroke="{color}"/>')

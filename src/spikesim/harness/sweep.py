@@ -9,13 +9,14 @@ import numpy as np
 
 from ..ensembles import (SpikeConfig, build_spiked, sample_goe, sample_gue,
                          sample_truth_or_haar, sync_observation_matrix)
+from ..errors import checked_int
 from ..groups import (average_loss, character, estimate_group_matrix, haar_sample,
                       pairwise_matrix, real_field)
 from ..matrices import HermitianMatrix
 from ..predictions import predict_sync_loss
 from ..rng import derive_key, stream
 from ..spectral import top_eigenpair
-from .config import SweepConfig, read_workers
+from .config import SweepConfig
 from .report import SweepReport, ThetaSummary, TrialRecord, summarize_trials
 
 
@@ -55,7 +56,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepReport:
     for the whole solve, so two trials never solve at once.
     """
     start = time.perf_counter()
-    workers = read_workers(workers)
+    workers = checked_int(workers, "workers", 1)
     tasks = [(ti, theta, t) for ti, theta in enumerate(config.theta_grid)
              for t in range(config.trials)]
     if workers > 1:

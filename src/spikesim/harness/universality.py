@@ -7,7 +7,6 @@ paired experiment and reports per-pair means with standard errors.
 
 from __future__ import annotations
 
-import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -15,11 +14,10 @@ from dataclasses import replace
 import numpy as np
 
 from ..ensembles import EnsembleSpec, SpikeConfig, build_spiked, sample_ensemble
-from ..errors import ValidationError
+from ..errors import ValidationError, checked_int
 from ..rng import stream
 from ..spectral import top_eigenpair
-from .config import (PHI_FUNCS, UniversalityConfig, ensemble_text, parse_ensemble,
-                     read_workers)
+from .config import PHI_FUNCS, UniversalityConfig, ensemble_text, parse_ensemble
 from .report import PairComparison, UniversalityReport
 
 # analytic variances must agree to rounding error off the diagonal
@@ -72,7 +70,7 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
     per-pair means and standard errors.
     """
     start = time.perf_counter()
-    workers = read_workers(workers)
+    workers = checked_int(workers, "workers", 1)
     check_moment_match(spec_a, spec_b)
     n = spec_a.n
     v = np.asarray(v)
@@ -84,11 +82,13 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
         v = v.real  # a zero imaginary part must not turn H complex
     spike = SpikeConfig(theta, v)
     check_delocalized(v)
+    trials = checked_int(trials, "trials")
+    seed = checked_int(seed, "seed")
     if trials < 2:
         raise ValidationError("need at least 2 trials for standard errors")
-    try:
-        pairs = [(operator.index(i), operator.index(j)) for i, j in pairs]
-    except TypeError:
+    try:  # unpacking raises TypeError or ValueError; checked_int refuses by ValueError
+        pairs = [(checked_int(i, "index"), checked_int(j, "index")) for i, j in pairs]
+    except (TypeError, ValueError):
         raise ValidationError("index pairs must be pairs of integers") from None
     if not pairs:
         raise ValidationError("need at least one index pair")
@@ -124,7 +124,7 @@ def run_universality_ab(spec_a: EnsembleSpec, spec_b: EnsembleSpec, v: np.ndarra
             mean_b=float(stats_b[:, k].mean()),
             stderr_b=float(stats_b[:, k].std(ddof=1) / root)))
     config_echo = {"ensemble_a": ensemble_text(spec_a), "ensemble_b": ensemble_text(spec_b),
-                   "n": n, "theta": float(theta), "phi": phi, "n_pairs": len(pairs),
+                   "n": n, "theta": spike.theta, "phi": phi, "n_pairs": len(pairs),
                    "trials": trials, "master_seed": seed, "signal": "explicit"}
     return UniversalityReport(config_echo=config_echo, pairs=tuple(comparisons),
                               wall_time_s=time.perf_counter() - start)

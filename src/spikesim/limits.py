@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import checked_real
+
 TWO_PI = 2.0 * np.pi
 
 
 def _check_theta(theta: float) -> float:
-    theta = float(theta)
+    theta = checked_real(theta, "theta")
     if not np.isfinite(theta) or theta <= 0.0:
         raise ValueError(f"theta must be a finite positive number, got {theta!r}")
     return theta

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import checked_int
+from .errors import checked_int, checked_real
 from .groups import (CyclicGroup, Group, character, difference, haar_sample, loss_values,
                      real_field, round_to_group)
 from .limits import overlap_limit, residual_variance_limit
@@ -64,7 +64,7 @@ class PredictionEstimate:
 
 
 def _check_supercritical(theta: float) -> float:
-    theta = float(theta)
+    theta = checked_real(theta, "theta")
     if not np.isfinite(theta) or theta <= 1.0:
         raise ValueError(f"the limit formula requires theta > 1, got {theta!r}")
     return theta

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BracketError, SingularShiftError
+from .errors import BracketError, SingularShiftError, checked_real
 from .limits import semicircle_cauchy_transform
 from .matrices import HermitianMatrix, _hermitian_entries
 
@@ -113,6 +113,10 @@ def top_eigenpair(h: HermitianMatrix, planted: np.ndarray | None = None) -> Spec
 
 def _entries(w) -> np.ndarray:
     return w.entries if isinstance(w, HermitianMatrix) else np.asarray(w)
+
+
+def _checked_entries(w) -> np.ndarray:
+    return w.entries if isinstance(w, HermitianMatrix) else _hermitian_entries(w)
 
 
 def _shifted(wm: np.ndarray, z, dtype) -> np.ndarray:
@@ -283,9 +287,9 @@ def secular_root(w, v: np.ndarray, theta: float) -> float:
     fallback factors all of it), so for any other w the bracket and the root
     come from different matrices.
     """
-    wm = w.entries if isinstance(w, HermitianMatrix) else _hermitian_entries(w)
+    wm = _checked_entries(w)
     v = _check_unit(v, "v")
-    theta = float(theta)
+    theta = checked_real(theta, "theta")
     if not 0.0 < theta < np.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
     n = wm.shape[0]
@@ -320,10 +324,12 @@ def eigvec_via_resolvent(w, eigval: float, v: np.ndarray) -> np.ndarray:
     The rank-one identity makes R_W(lambda) v proportional to the spike
     eigenvector; the output is normalized and phase-fixed like
     ``top_eigenpair``.  The residual check of ``resolvent_solve`` rejects
-    shifts inside the spectrum.
+    shifts inside the spectrum; a raw ``w`` must pass the ``HermitianMatrix``
+    checks.
     """
+    wm = _checked_entries(w)
     v = _check_unit(v, "v")
-    x = resolvent_solve(w, float(eigval), v)
+    x = resolvent_solve(wm, checked_real(eigval, "eigval"), v)
     return fix_phase(x / np.linalg.norm(x))
 
 
@@ -332,8 +338,9 @@ def local_law_residual(w, z: complex, x: np.ndarray, y: np.ndarray) -> float:
 
     For Wigner noise this isotropic residual decays like n^{-1/2} at fixed z
     outside the bulk.  Shifts with Re(z) <= 2 + ``LOCAL_LAW_EDGE_MARGIN`` (0.1)
-    are refused.
+    are refused, and so is a raw ``w`` that fails the ``HermitianMatrix`` checks.
     """
+    wm = _checked_entries(w)
     z = complex(z)
     if z.real <= 2.0 + LOCAL_LAW_EDGE_MARGIN:
         raise ValueError(f"Re(z) = {z.real} is inside the guarded spectral region "
@@ -342,6 +349,6 @@ def local_law_residual(w, z: complex, x: np.ndarray, y: np.ndarray) -> float:
     y = _check_unit(y, "y")
     if x.shape != y.shape:
         raise ValueError("x and y must have equal length")
-    r = resolvent_solve(w, z, y)
+    r = resolvent_solve(wm, z, y)
     val = np.vdot(x, r) - semicircle_cauchy_transform(z) * np.vdot(x, y)
     return float(abs(val))

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikesim import EnsembleSpec, ValidationError, parse_group
+from spikesim import (EnsembleSpec, SpikeConfig, ValidationError, outlier_eigenvalue,
+                      overlap_limit, parse_group, predict_sync_loss, residual_variance_limit,
+                      sample_goe, secular_root, z2_mismatch_exact)
 from spikesim import ensembles as ensembles_module
 from spikesim import groups as groups_module
 from spikesim import predictions as predictions_module
@@ -315,9 +317,10 @@ def test_config_int_fields_refuse_non_integers(make, cls, names):
         for bad in (value + 0.5, True, str(value), None):
             with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
                 make(**{name: bad})
-        cfg = make(**{name: float(value)})
-        assert cfg == base and type(getattr(cfg, name)) is int
-        assert type(cfg.echo()[name]) is int
+        for good in (float(value), np.int64(value)):
+            cfg = make(**{name: good})
+            assert cfg == base and type(getattr(cfg, name)) is int
+            assert type(cfg.echo()[name]) is int
 
 
 @pytest.mark.parametrize("name, bad", [("theta", True), ("theta", "2"), ("phi", ["tanh"])])
@@ -342,17 +345,72 @@ def test_config_int_fields_refuse_non_finite(make, name, bad):
         make(**{name: bad})
 
 
-@pytest.mark.parametrize("bad", ["23", 2.0, None, np.array(2.0), ["2", "3"], (2.0, True)],
-                         ids=["str", "float", "none", "0-d-array", "str-items", "bool-item"])
-def test_sweep_theta_grid_refuses_other_types(bad):
+@pytest.mark.parametrize("bad, message", [
+    ("23", "theta_grid must hold at least one theta value"),
+    (2.0, "theta_grid must hold at least one theta value"),
+    (None, "theta_grid must hold at least one theta value"),
+    (np.array(2.0), "theta_grid must hold at least one theta value"),
+    (["2", "3"], "theta_grid item must be a real number, got '2'"),
+    ((2.0, True), "theta_grid item must be a real number, got True"),
+], ids=["str", "float", "none", "0-d-array", "str-items", "bool-item"])
+def test_sweep_theta_grid_refuses_other_types(bad, message):
     # "23" used to run as (2.0, 3.0), ["2", "3"] built a config whose report
     # the reader refuses, and 2.0 failed as a TypeError
-    with pytest.raises(ValidationError, match="^theta_grid must hold at least one theta value"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
         tiny_sweep_config(theta_grid=bad)
     for good in ((1.5, 2), [1.5, 2.5], np.array([1.5, 2.5]), (t for t in (1.5, 2.5))):
         cfg = tiny_sweep_config(theta_grid=good)
         assert cfg.theta_grid in ((1.5, 2.0), (1.5, 2.5))
         assert all(type(t) is float for t in cfg.theta_grid)
+
+
+def _theta_entry_points():
+    """Each public entry point that reads a theta, as a call of theta alone."""
+    v = np.full(40, 40 ** -0.5)
+    w = sample_goe(40, stream(3, "noise"))
+    return {
+        "outlier_eigenvalue": outlier_eigenvalue,
+        "overlap_limit": overlap_limit,
+        "residual_variance_limit": residual_variance_limit,
+        "z2_mismatch_exact": z2_mismatch_exact,
+        "predict_sync_loss": lambda t: predict_sync_loss(Z2, t, n_samples=1000, seed=1),
+        "SpikeConfig": lambda t: SpikeConfig(t, v).theta,
+        "secular_root": lambda t: secular_root(w, v, t),
+        "UniversalityConfig.theta": lambda t: _universality_config(theta=t).theta,
+        "SweepConfig.theta_grid": lambda t: tiny_sweep_config(theta_grid=(t,)).theta_grid,
+    }
+
+
+@pytest.mark.parametrize("name", list(_theta_entry_points()))
+def test_theta_read_by_one_rule(name):
+    # one rule for a real: "2.5" and True used to run as 2.5 and 1.0 at some
+    # of these and be refused at others; a numpy real runs as the builtin
+    # float it equals, down to the last bit of the result
+    call = _theta_entry_points()[name]
+    for bad in ("2.5", True, None):
+        with pytest.raises(ValidationError,
+                           match=f"^theta(_grid item)? must be a real number, got {bad!r}$"):
+            call(bad)
+    assert repr(call(np.float64(2.5))) == repr(call(2.5))
+
+
+def test_universality_trials_and_seed_read_by_one_rule(tmp_path):
+    # numpy integers and integral floats run as the builtin ints they equal:
+    # an np.int64 trials or seed used to run every trial and then fail to
+    # write the report, and 3.0 trials failed inside range()
+    kw = small_ab_kwargs()
+    written = []
+    for trials, seed in ((3, 4), (np.int64(3), np.int64(4)), (3.0, 4.0)):
+        path = tmp_path / f"universality-{len(written)}.json"
+        write_universality_json(run_universality_ab(**{**kw, "trials": trials, "seed": seed}),
+                                str(path))
+        written.append(path.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    # a fraction, a bool or a str is refused and named: seed 1.5 used to run
+    # and echo a master_seed that no config takes
+    for name, bad in (("trials", 2.5), ("trials", True), ("seed", 1.5), ("seed", "x")):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {bad!r}$"):
+            run_universality_ab(**{**kw, name: bad})
 
 
 # -------------------------------------------------------------------- sweeps
@@ -759,9 +817,10 @@ def test_universality_pair_list_checked_before_any_trial(monkeypatch):
 
 
 def test_universality_refuses_non_integral_index():
-    # a non-integral index is refused, never truncated: (0.5, 2) is not (0, 2)
+    # a non-integral index is refused, never truncated: (0.5, 2) is not (0, 2),
+    # and True is not index 1
     kw = small_ab_kwargs()
-    for pairs in ([(0.5, 2)], [(0, np.float64(2.5))], [(1, 2), ("3", 4)]):
+    for pairs in ([(0.5, 2)], [(0, np.float64(2.5))], [(1, 2), ("3", 4)], [(True, 2)]):
         with pytest.raises(ValidationError, match="pairs of integers"):
             run_universality_ab(**{**kw, "pairs": pairs})
 
@@ -1057,12 +1116,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["plot", str(not_report), "--out", str(tmp_path / "n60.svg")]) == 0
 
 
-@pytest.mark.parametrize("bad", ["2", 2.5, None], ids=["str", "float", "none"])
+@pytest.mark.parametrize("bad", ["2", 2.5, None, True], ids=["str", "float", "none", "bool"])
 def test_runs_refuse_non_integer_workers(bad):
     # workers is read as an integer, never compared as a str or a float
     for run in (lambda w: run_sweep(tiny_sweep_config(), workers=w),
                 lambda w: run_universality_ab(**small_ab_kwargs(), workers=w)):
-        with pytest.raises(ValidationError, match=f"^workers must be an integer, got {bad!r}$"):
+        with pytest.raises(ValidationError, match=f"^workers must be an integer >= 1, got {bad!r}$"):
             run(bad)
     assert run_sweep(tiny_sweep_config(), workers=np.int64(2)).records
 
@@ -1074,5 +1133,5 @@ def test_cli_refuses_workers_below_one(tmp_path, capsys, workers):
     for command, cfg in (("sweep", sweep_cfg), ("universality", univ_cfg)):
         out_dir = tmp_path / command
         assert main([command, cfg, "--out-dir", str(out_dir), "--workers", workers]) == 2
-        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
         assert not out_dir.exists()

@@ -527,6 +527,28 @@ def test_secular_root_refuses_raw_w_that_is_not_hermitian(monkeypatch):
         secular_root(w, v, 2.0)
 
 
+@pytest.mark.parametrize("route", [
+    lambda w, v: secular_root(w, v, 2.0),
+    lambda w, v: eigvec_via_resolvent(w, 3.0, v),
+    lambda w, v: local_law_residual(w, 3.0, v, v),
+], ids=["secular_root", "eigvec_via_resolvent", "local_law_residual"])
+def test_rank_one_routes_read_raw_w_by_one_rule(route):
+    # each route takes W as a HermitianMatrix or a raw array, and a raw array
+    # passes the HermitianMatrix checks: eigvec_via_resolvent and
+    # local_law_residual used to solve a non-symmetric Gaussian W without a word
+    n = 50
+    g = stream(23, "w").standard_normal((n, n))
+    v = unit(stream(23, "v").standard_normal(n))
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        route(g, v)
+    nan_w = np.zeros((n, n))
+    nan_w[3, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        route(nan_w, v)
+    w = HermitianMatrix((g + g.T) / np.sqrt(2 * n))
+    assert np.array_equal(route(w.entries, v), route(w, v))
+
+
 # ----------------------------------------------------- eigenvector via solve
 
 def test_eigvec_via_resolvent_matches_eigensolver():
