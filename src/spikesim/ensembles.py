@@ -101,7 +101,8 @@ class EnsembleSpec:
 
 def _upper(n: int) -> np.ndarray:
     """Strict upper triangle mask: i < j in row-major order, as stored here."""
-    return np.triu(np.ones((n, n), dtype=bool), 1)
+    i = np.arange(n)
+    return i[:, None] < i
 
 
 def _mirrored(n: int, up: np.ndarray, low: np.ndarray, diag, take=...) -> np.ndarray:
@@ -246,6 +247,11 @@ def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
     (row-major) order: integer residues (cyclic) or angles (circle).
     Y_ji = Y_ij^{-1} and Y_ii = identity are definitions, not data, so they are
     not stored.
+
+    The true differences are computed first; they consume no draws.  The
+    uniforms and then the Haar elements are drawn in that order, as always,
+    and the Haar elements are copied over the truth where u >= p, so the
+    result is the truth array itself and u lives only as a boolean mask.
     """
     p = checked_real(p, "p")
     if not (0.0 <= p <= 1.0):
@@ -256,12 +262,12 @@ def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
         raise ValidationError("x must be a vector of length >= 2")
     rng = as_generator(seed)
     m = n * (n - 1) // 2
-    u = rng.random(m)
-    haar = haar_sample(group, m, rng)
     upper = _upper(n)
     truth = difference(group, np.broadcast_to(x[:, None], (n, n))[upper],
                        np.broadcast_to(x, (n, n))[upper])
-    return np.where(u < p, truth, haar)
+    haar_wins = rng.random(m) >= p
+    np.copyto(truth, haar_sample(group, m, rng), where=haar_wins)
+    return truth
 
 
 def _triangle_side(y: np.ndarray, group: Group) -> int:
@@ -321,5 +327,5 @@ def sync_observation_matrix(group: Group, y: np.ndarray) -> HermitianMatrix:
     up, low = _symmetrized(character(group, keys) / root_n,
                            character(group, difference(group, 0, keys)) / root_n)
     c = _mirrored(n, up, low, 1.0 / root_n, take)
-    del up, low  # the Hermitian check's conjugate copy needs their room
+    del up, low  # not held beside the Hermitian check
     return HermitianMatrix(c)

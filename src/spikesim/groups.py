@@ -16,6 +16,9 @@ from .errors import ValidationError, checked_int
 
 TWO_PI = 2.0 * np.pi
 
+# rows per block of the cyclic mismatch count in ``average_loss``
+LOSS_ROWS = 64
+
 
 @dataclass(frozen=True)
 class CyclicGroup:
@@ -82,13 +85,16 @@ def _residue(d: np.ndarray, modulus) -> None:
 
     fmod is the identity on (-modulus, modulus), where every difference of
     canonical elements lies, so it runs only when some value may lie outside
-    that range; a NaN fails both comparisons and runs it too.  Adding
-    (d < 0) * modulus adds +0.0 to a -0.0 remainder, which turns it into
-    np.mod's +0.0.
+    that range; a NaN fails both comparisons and runs it too.  The modulus is
+    added in place under a boolean mask, so no product the size of ``d`` is
+    built.  A float array then gets +0.0 added, which turns a -0.0 remainder
+    into np.mod's +0.0.
     """
     if d.size and not (d.min() > -modulus and d.max() < modulus):
         np.fmod(d, modulus, out=d)
-    d += (d < 0) * modulus
+    np.add(d, modulus, out=d, where=d < 0)
+    if d.dtype.kind == "f":
+        d += 0.0
 
 
 def _wrap_angle(d: np.ndarray) -> None:
@@ -224,7 +230,13 @@ def loss_values(group: Group, truth, estimate) -> np.ndarray:
 
 
 def average_loss(group: Group, m_true: np.ndarray, m_est: np.ndarray) -> float:
-    """Mean loss over all n^2 ordered pairs (diagonal included)."""
+    """Mean loss over all n^2 ordered pairs (diagonal included).
+
+    Cyclic groups count the mismatches over blocks of ``LOSS_ROWS`` rows, so
+    no n x n difference is built; the count is an exact integer, so the count
+    over n^2 is the double the mean of the 0/1 losses gives.  U(1) takes the
+    mean of the whole loss array, whose pairwise float sum fixes its bits.
+    """
     m_true = np.asarray(m_true)
     m_est = np.asarray(m_est)
     if (m_true.shape != m_est.shape or m_true.ndim != 2 or m_true.shape[0] != m_true.shape[1]
@@ -232,7 +244,8 @@ def average_loss(group: Group, m_true: np.ndarray, m_est: np.ndarray) -> float:
         raise ValidationError("alignment matrices must be nonempty and square with equal shape, "
                               f"got {m_true.shape} vs {m_est.shape}")
     if isinstance(group, CyclicGroup):
-        # the 0/1 mismatches sum to an exact integer, so the count over the
-        # size is the same double as their mean
-        return int(np.count_nonzero(difference(group, m_true, m_est))) / m_true.size
+        hits = sum(int(np.count_nonzero(difference(group, m_true[lo:lo + LOSS_ROWS],
+                                                   m_est[lo:lo + LOSS_ROWS])))
+                   for lo in range(0, m_true.shape[0], LOSS_ROWS))
+        return hits / m_true.size
     return float(np.mean(loss_values(group, m_true, m_est)))

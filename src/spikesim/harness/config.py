@@ -9,6 +9,7 @@ errors so typos cannot silently change an experiment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -44,10 +45,16 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     return pairs
 
 
+# integral decimal text: "60" or "60.0", read digit for digit with no float
+# round trip, so a seed above 2**53 keeps every digit
+_INTEGRAL = re.compile(r"([+-]?[\d_]+)(?:\.0*)?")
+
+
 def _parse_int(text: str, key: str) -> int:
+    whole = _INTEGRAL.fullmatch(text.strip())
     try:
-        return int(text)
-    except ValueError:
+        return int(whole[1])
+    except (TypeError, ValueError):
         raise ValidationError(f"key {key!r}: expected an integer, got {text!r}") from None
 
 

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# bytes of entries per row block of the Hermitian check: its finite mask and
+# conjugate copy stay near this size whatever n is
+CHECK_BYTES = 1 << 17
+
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (a + a*)/2, which is exactly conjugate-symmetric in IEEE floats.
@@ -28,7 +32,8 @@ def _hermitian_entries(entries) -> np.ndarray:
     and exactly conjugate-symmetric; raises ValueError otherwise.
 
     The checks of ``HermitianMatrix``, for callers that take a raw array and
-    build no wrapper.  No copy is made when the dtype already fits.
+    build no wrapper.  No copy is made when the dtype already fits, and each
+    check runs over blocks of rows against the matching blocks of columns.
     """
     a = np.asarray(entries)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -41,9 +46,14 @@ def _hermitian_entries(entries) -> np.ndarray:
         a = a.astype(np.float64, copy=False)
     else:
         raise ValueError(f"unsupported dtype {a.dtype}")
-    if not np.isfinite(a).all():
+    rows = max(1, CHECK_BYTES // a[0].nbytes)
+    blocks = range(0, a.shape[0], rows)
+    if not all(np.isfinite(a[lo:lo + rows]).all() for lo in blocks):
         raise ValueError("entries must be finite")
-    if not np.array_equal(a, a.conj().T):
+    # rows lo:hi right of column lo against the conjugated columns lo:hi below
+    # row lo: every pair i <= j once, with no n x n copy
+    if not all(np.array_equal(a[lo:lo + rows, lo:], a[lo:, lo:lo + rows].conj().T)
+               for lo in blocks):
         raise ValueError("entries are not exactly conjugate-symmetric")
     return a
 

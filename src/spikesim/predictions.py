@@ -104,9 +104,7 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
     """
     theta = _check_supercritical(theta)
     n_samples = checked_int(n_samples, "n_samples", MIN_SAMPLES)
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError("seed must be an int (named chunk streams are derived from it)")
-    seed = int(seed)
+    seed = checked_int(seed, "seed")
     cyclic = isinstance(group, CyclicGroup)
     # g's standard normal parts, then h's: one each for F = R, the real and the
     # imaginary part for F = C.  All but h's last part are drawn whole

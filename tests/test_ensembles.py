@@ -200,8 +200,8 @@ def test_gaussian_samplers_match_out_of_place_reference(sampler, old, n):
 
 def test_gue_peak_memory(traced_peak):
     # in units of 16 n^2 bytes, the size of the result: the out-of-place
-    # sampler peaked at 4.1; one buffer, one n x n draw at a time and the
-    # Hermitian check's conjugate copy need about 2.1
+    # sampler peaked at 4.1; one buffer and one n x n draw at a time need
+    # about 1.5 (2.1 while the Hermitian check made an n x n conjugate copy)
     n = 400
     assert traced_peak(sample_gue, n, 0) / (16 * n * n) <= 2.5
 
@@ -409,6 +409,18 @@ def test_truth_or_haar_matches_triu_indices_reference(group):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("group", [Z2, Z5, U1], ids=["Z2", "Z5", "U1"])
+def test_truth_or_haar_peak_memory(group, traced_peak):
+    # in units of 8 m bytes, m = n(n-1)/2: u, the Haar draws, the gathered
+    # truth and np.where's result peaked at 6.44; the truth computed first,
+    # u kept only as a mask and the Haar draws copied into the truth need
+    # about 3.38
+    n = 500
+    m = n * (n - 1) // 2
+    x = haar_sample(group, n, stream(20, "x", str(group)))
+    assert traced_peak(sample_truth_or_haar, group, x, 0.5, 0) / (8 * m) <= 3.6
+
+
 def test_sync_observation_z2_exactly_real():
     n = 40
     x = haar_sample(Z2, n, stream(14, "x"))
@@ -472,9 +484,10 @@ def test_sync_observation_matches_full_matrix_reference(group):
 def test_sync_observation_peak_memory(group, bound, n, traced_peak):
     # in units of 16 n^2 bytes, one complex n x n array: the U(1) character
     # matrix and its n x n symmetrize peaked at 3.1-3.2.  With one rule on the
-    # triangles, each filled and freed in turn, H, the conjugate copy of its
-    # Hermitian check and the mask set the peak at about 2.1; Z/2's real H
-    # needs no copy (about 0.8)
+    # triangles, each filled and freed in turn, H beside the two U(1) triangles
+    # sets the peak at about 2.06, and H beside the gathered Z/L residues at
+    # about 1.56 (both about 2.1 while the Hermitian check made an n x n
+    # conjugate copy); Z/2's real H is half the size (about 0.8)
     x = haar_sample(group, n, stream(19, "x", str(group)))
     y = sample_truth_or_haar(group, x, 0.5, stream(19, "y", str(group)))
     assert traced_peak(sync_observation_matrix, group, y) / (16 * n * n) <= bound

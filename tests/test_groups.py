@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spikesim.errors import ValidationError
-from spikesim.groups import (CircleGroup, CyclicGroup, _residue, average_loss, character,
-                             character_table, difference, estimate_group_matrix,
+from spikesim.groups import (LOSS_ROWS, CircleGroup, CyclicGroup, _residue, average_loss,
+                             character, character_table, difference, estimate_group_matrix,
                              haar_sample, loss_values, pairwise_matrix, parse_group,
                              round_to_group)
 from spikesim.rng import stream
@@ -459,10 +459,9 @@ def test_average_loss_basics():
             average_loss(group, np.zeros((0, 0)), np.zeros((0, 0)))
 
 
-@given(st.integers(2, 24), st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_cyclic_average_loss_is_the_old_mean(order, n, agree, seed):
-    # the mismatch count over n^2 is the double np.mean gave on the n^2 0/1
-    # floats, for canonical and for non-canonical representatives
+def _check_cyclic_average_loss(order, n, agree, seed):
+    """The blocked mismatch count over n^2 is the double np.mean gave on the
+    n^2 0/1 floats, for canonical and for non-canonical representatives."""
     g = CyclicGroup(order)
     rng = np.random.default_rng(seed)
     t = haar_sample(g, (n, n), rng)
@@ -472,6 +471,30 @@ def test_cyclic_average_loss_is_the_old_mean(order, n, agree, seed):
         got = average_loss(g, a, b)
         want = reference.average_loss(g, a, b)
         assert type(got) is float and got.hex() == want.hex()
+
+
+@given(st.integers(2, 24), st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_cyclic_average_loss_is_the_old_mean(order, n, agree, seed):
+    _check_cyclic_average_loss(order, n, agree, seed)
+
+
+@pytest.mark.parametrize("order", [2, 5])
+@pytest.mark.parametrize("n", [LOSS_ROWS - 1, LOSS_ROWS, LOSS_ROWS + 1, 2 * LOSS_ROWS + 3])
+def test_cyclic_average_loss_across_row_blocks(order, n):
+    # the sizes around the block edges: one partial block, one whole block,
+    # a whole one and one row, two whole ones and a partial one
+    for agree, seed in ((0.0, 1), (0.7, 2), (1.0, 3)):
+        _check_cyclic_average_loss(order, n, agree, seed)
+
+
+def test_cyclic_average_loss_peak_memory(traced_peak):
+    # in units of 8 n^2 bytes: the whole n x n difference and its residue
+    # temporary peaked at 2.16; the row blocks need about 0.15
+    n = 500
+    x = haar_sample(Z5, n, stream(10, "peak"))
+    m_true = pairwise_matrix(Z5, x)
+    m_est = pairwise_matrix(Z5, haar_sample(Z5, n, stream(11, "peak")))
+    assert traced_peak(average_loss, Z5, m_true, m_est) / (8 * n * n) <= 0.25
 
 
 def test_average_loss_translation_invariance():

@@ -111,6 +111,21 @@ def test_parse_sweep_config_full(tmp_path):
     assert cfg.out_dir == "."
 
 
+def test_parse_sweep_config_integral_decimal_text(tmp_path):
+    # "60.0" reads as 60, as the same value built in Python or loaded from
+    # JSON does; the digits are read without a float, so a seed above 2**53
+    # keeps every one of them
+    text = SWEEP_TEXT.replace("n = 60", "n = 60.0").replace(
+        "master_seed = 5", "master_seed = 18446744073709551617.0")
+    cfg = parse_sweep_config(write_config(tmp_path, text))
+    assert cfg.n == 60 and type(cfg.n) is int
+    assert cfg.master_seed == 18446744073709551617
+    for bad in ("60.5", "nan", "inf", "60.0.0", ".0"):
+        path = write_config(tmp_path, SWEEP_TEXT.replace("n = 60", f"n = {bad}"))
+        with pytest.raises(ValidationError, match=re.escape(f"expected an integer, got {bad!r}")):
+            parse_sweep_config(path)
+
+
 def test_parse_sweep_config_space_separated_grid(tmp_path):
     text = SWEEP_TEXT.replace("theta_grid = 1.5, 2.5", "theta_grid = 1.5 2.0 2.5")
     cfg = parse_sweep_config(write_config(tmp_path, text))
@@ -506,12 +521,24 @@ def test_z2_planted_vector_bits_match_complex_table(monkeypatch):
 def test_u1_trial_peak_memory(traced_peak):
     # one U(1) gaussian-additive trial, in units of 16 n^2 bytes (one complex
     # n x n array): chains of full-size temporaries peaked at 4.63; with each
-    # array allocated once the Hermitian check of H beside the noise sets the
-    # peak at about 3.1
+    # array allocated once, the spiked sum's signal and H beside the noise set
+    # the peak at about 3.06 (3.1 while the Hermitian check of H made an n x n
+    # conjugate copy)
     n = 400
     cfg = tiny_sweep_config(group=parse_group("U(1)"), n=n, theta_grid=(2.0,), trials=1,
                             noise_model="gaussian-additive")
     assert traced_peak(sweep_module._run_trial, cfg, 0, 2.0, 0) / (16 * n * n) <= 3.5
+
+
+def test_z2_trial_peak_memory(traced_peak):
+    # one Z/2 truth-or-haar trial, in units of 8 n^2 bytes (one int64 n x n
+    # array): the observation sampler's triangles and the n x n products of
+    # the residues and of the mismatch count peaked at 4.16; the residues
+    # reduced in place and the mismatches counted by row blocks leave the
+    # truth and the estimate side by side, about 2.15
+    n = 500
+    cfg = tiny_sweep_config(n=n, theta_grid=(2.0,), trials=1)
+    assert traced_peak(sweep_module._run_trial, cfg, 0, 2.0, 0) / (8 * n * n) <= 2.3
 
 
 def test_run_sweep_strong_signal_recovers():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spikesim.matrices import HermitianMatrix, symmetrize
+from spikesim.ensembles import sample_gue
+from spikesim.matrices import CHECK_BYTES, HermitianMatrix, symmetrize
 from spikesim.rng import stream
 
 import reference
@@ -62,6 +63,42 @@ def test_rejects_bad_input():
         HermitianMatrix(np.array([[1j, 0.0], [0.0, 0.0]]))  # complex diagonal
     with pytest.raises(ValueError):
         HermitianMatrix(np.array([["a", "b"], ["b", "a"]], dtype=object))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=lambda d: np.dtype(d).name)
+def test_blocked_checks_match_whole_array_checks(dtype):
+    # several row blocks: one bad entry anywhere, on either side of a block
+    # edge, is caught as the whole-array checks catch it, and a non-finite
+    # entry is reported before an asymmetry in an earlier block
+    n = 301
+    rows = CHECK_BYTES // (n * np.dtype(dtype).itemsize)
+    assert 2 <= n // rows <= 20
+    rng = stream(3, "blocked", np.dtype(dtype).name)
+    a = symmetrize(rng.standard_normal((n, n)).astype(dtype))
+    HermitianMatrix(a)
+    edges = sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows, n // 2, n - 2, n - 1})
+    asymmetric = a.copy()
+    asymmetric[0, 1] += 1.0
+    for i in edges:
+        for j in edges:
+            bad = a.copy()
+            bad[i, j] += 1.0 if i != j else 1.0j if dtype == np.complex128 else np.nan
+            assert not np.array_equal(bad, bad.conj().T) or not np.isfinite(bad).all()
+            with pytest.raises(ValueError):
+                HermitianMatrix(bad)
+            bad = asymmetric.copy()
+            bad[i, j] = np.inf
+            with pytest.raises(ValueError, match="finite"):
+                HermitianMatrix(bad)
+
+
+def test_hermitian_check_peak_memory(traced_peak):
+    # in units of 16 n^2 bytes: the whole-array checks built an n x n
+    # conjugate copy and an n x n mask (1.11); a row block's copy of at most
+    # CHECK_BYTES and numpy's comparison buffer need about 0.15 at n = 400
+    n = 400
+    w = sample_gue(n, 0).entries
+    assert traced_peak(HermitianMatrix, w) / (16 * n * n) <= 0.15
 
 
 def test_from_nearly_hermitian():

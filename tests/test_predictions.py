@@ -94,8 +94,14 @@ def test_mc_sample_floor_and_seed_type():
         with pytest.raises(ValidationError, match="n_samples"):
             predict_sync_loss(Z2, 2.0, n_samples=bad)
     assert predict_sync_loss(Z2, 2.0, n_samples=1000.0).n_samples == 1000
-    with pytest.raises(TypeError):
-        predict_sync_loss(Z2, 2.0, n_samples=1000, seed="abc")
+    # the seed is read as every other integer input is
+    for bad in ("abc", True, 7.5):
+        with pytest.raises(ValidationError, match="seed"):
+            predict_sync_loss(Z2, 2.0, n_samples=1000, seed=bad)
+    want = predict_sync_loss(Z2, 2.0, n_samples=1000, seed=7)
+    for seed in (np.int64(7), 7.0):
+        got = predict_sync_loss(Z2, 2.0, n_samples=1000, seed=seed)
+        assert got.mean.hex() == want.mean.hex() and got.stderr.hex() == want.stderr.hex()
 
 
 def test_mc_bit_deterministic():
