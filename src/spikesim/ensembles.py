@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError, checked_int, checked_real
 from .groups import CyclicGroup, Group, character, difference, haar_sample
-from .matrices import HermitianMatrix, symmetrize
+from .matrices import HermitianMatrix
 from .rng import as_generator
 
 ENSEMBLE_KINDS = ("goe", "gue", "generalized-wigner")
@@ -29,6 +29,10 @@ ROW_SUM_TOL = 1e-8
 
 # a given variance profile must keep n*sigma^2_ij within [1/GAMMA_W, GAMMA_W]
 GAMMA_W = 10.0
+
+# bytes of H per row block of ``build_spiked``: the signal's block temporaries
+# stay near this size whatever n is
+SPIKE_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -226,17 +230,40 @@ class SpikeConfig:
 
 def build_spiked(spike: SpikeConfig, noise: HermitianMatrix) -> HermitianMatrix:
     """theta * v v* + W, exactly Hermitian; real dtype when both parts are real
-    (numpy's type promotion of the sum decides)."""
+    (numpy's type promotion of the sum decides).
+
+    H is the one n x n allocation beside W, filled by blocks of rows of about
+    ``SPIKE_BLOCK_BYTES``.  Rows lo:hi are (conj(S[:, lo:hi]).T + S[lo:hi]) / 2
+    + W[lo:hi], with S = theta * outer(v, conj v) formed in v's dtype for
+    those rows and columns only: the bits of ``symmetrize`` on the whole S,
+    then the sum with W.  A real S is exactly symmetric (multiplication
+    commutes) and (s + s) / 2 = s, so there the symmetrization is skipped;
+    only an s above half the largest float, where s + s overflowed, reads
+    otherwise.
+    """
     v = spike.v
-    if v.size != noise.n:
-        raise ValidationError(f"spike dimension {v.size} does not match noise dimension {noise.n}")
-    signal = np.outer(v, np.conj(v))
-    signal *= spike.theta
-    h = symmetrize(signal)
-    del signal
-    # in place unless numpy would promote the sum to another dtype
+    n = noise.n
+    if v.size != n:
+        raise ValidationError(f"spike dimension {v.size} does not match noise dimension {n}")
     w = noise.entries
-    return HermitianMatrix(np.add(h, w, out=h if np.result_type(h, w) == h.dtype else None))
+    cv = np.conj(v)
+    real = not np.iscomplexobj(v)
+    h = np.empty((n, n), dtype=np.result_type(v, 2.0, w))
+    rows = max(1, SPIKE_BLOCK_BYTES // h[0].nbytes)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        s = np.outer(v[lo:hi], cv)
+        s *= spike.theta
+        if not real:
+            cols = np.outer(v, cv[lo:hi])
+            cols *= spike.theta
+            sym = np.conjugate(cols.T, out=np.empty_like(s))
+            del cols
+            sym += s
+            sym /= 2.0
+            s = sym
+        np.add(s, w[lo:hi], out=h[lo:hi])
+    return HermitianMatrix(h)
 
 
 def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
@@ -249,9 +276,11 @@ def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
     not stored.
 
     The true differences are computed first; they consume no draws.  The
-    uniforms and then the Haar elements are drawn in that order, as always,
-    and the Haar elements are copied over the truth where u >= p, so the
-    result is the truth array itself and u lives only as a boolean mask.
+    gathered x_i take the gathered x_j in place (``difference``'s ``out``),
+    and the triangle mask is freed before the draws.  The uniforms and then
+    the Haar elements are drawn in that order, as always, and the Haar
+    elements are copied over the truth where u >= p, so the result is the
+    truth array itself and u lives only as a boolean mask.
     """
     p = checked_real(p, "p")
     if not (0.0 <= p <= 1.0):
@@ -262,9 +291,12 @@ def sample_truth_or_haar(group: Group, x, p: float, seed) -> np.ndarray:
         raise ValidationError("x must be a vector of length >= 2")
     rng = as_generator(seed)
     m = n * (n - 1) // 2
+    # x in the element dtype first, so that the gathered x_i can take the result
+    x = x.astype(np.int64 if isinstance(group, CyclicGroup) else np.float64, copy=False)
     upper = _upper(n)
-    truth = difference(group, np.broadcast_to(x[:, None], (n, n))[upper],
-                       np.broadcast_to(x, (n, n))[upper])
+    truth = np.broadcast_to(x[:, None], (n, n))[upper]
+    difference(group, truth, np.broadcast_to(x, (n, n))[upper], out=truth)
+    del upper
     haar_wins = rng.random(m) >= p
     np.copyto(truth, haar_sample(group, m, rng), where=haar_wins)
     return truth

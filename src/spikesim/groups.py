@@ -107,16 +107,18 @@ def _wrap_angle(d: np.ndarray) -> None:
     d[d == TWO_PI] = 0.0
 
 
-def difference(group: Group, x, y):
+def difference(group: Group, x, y, out=None):
     """x composed with the inverse of y, in canonical form (residues in
     [0, L), angles in [0, 2*pi)): difference(g, x, 0) is the canonical form
     of x and difference(g, 0, y) the inverse of y.  Scalar inputs give a
-    numpy scalar for either group."""
+    numpy scalar for either group.  ``out``, an array of the element dtype
+    (int64 residues, float64 angles) that may be x itself, receives the
+    result, with the same bits and no allocation."""
     cyclic = isinstance(group, CyclicGroup)
     dtype = np.int64 if cyclic else np.float64
     # the subtraction is the one allocation: asarray keeps a 0-d result an
     # array, so the reduction runs in place on it
-    d = np.asarray(np.asarray(x, dtype=dtype) - np.asarray(y, dtype=dtype))
+    d = np.asarray(np.subtract(np.asarray(x, dtype=dtype), np.asarray(y, dtype=dtype), out=out))
     if cyclic:
         _residue(d, group.order)
     else:

@@ -17,9 +17,14 @@ reproducible for a given seed.  Each chunk draws x, y, g and h in that order.
 Draws from one stream come out in order, so the chunk's last draw (all of h
 for F = R; h's imaginary parts for F = C, whose real parts come whole first)
 is taken block by block with the same values, inside the loop over blocks of
-``BLOCK`` samples that runs the arithmetic.  Only the earlier draws are
-chunk-sized, cyclic x and y in the smallest unsigned type that holds a
-residue, and they are freed before the next chunk draws.  A cyclic loss is
+``BLOCK`` samples that runs the arithmetic.  A U(1) angle takes exactly one
+64-bit word of the Philox stream, so x and y are drawn block by block too,
+each from a fresh copy of the chunk's stream moved past the words before it
+(m words for y), while the chunk's own stream skips the 2m words of x and y
+before it draws g.  The other draws are chunk-sized: g and, for F = C, h's
+real parts, and cyclic x and y in the smallest unsigned type that holds a
+residue (``integers`` may reject a word, so the words they take are not a
+function of m).  All are freed before the next chunk draws.  A cyclic loss is
 0 or 1, so its sums are the exact mismatch count and no loss values are
 stored; U(1) keeps the chunk's loss values, whose pairwise float sum fixes
 the bits.  Only ``CHUNK`` names streams: every step is elementwise and the
@@ -93,6 +98,15 @@ def _haar(group: Group, m: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
+def _skip(rng: np.random.Generator, words: int) -> np.random.Generator:
+    """Move a fresh Philox stream past ``words`` 64-bit outputs, as drawing
+    them would: one counter step hands out 4 words, and the rest come from
+    the buffer of the next step."""
+    rng.bit_generator.advance(words // 4)
+    rng.bit_generator.random_raw(words % 4)
+    return rng
+
+
 def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPLES,
                       seed: int = 0) -> PredictionEstimate:
     """Monte Carlo value of the limiting average loss for a synchronization run.
@@ -116,31 +130,42 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
     for index, done in enumerate(range(0, n_samples, CHUNK)):
         m = min(CHUNK, n_samples - done)
         rng = stream(seed, "chunk", index)
-        x = _haar(group, m, rng)
-        y = _haar(group, m, rng)
+        if cyclic:
+            # residues are drawn whole: ``integers`` may reject a word, so the
+            # words they take are not a function of m
+            x = _haar(group, m, rng)
+            y = _haar(group, m, rng)
+        else:
+            # an angle takes one word, so x is the stream's words [0, m) and y
+            # its words [m, 2m): each is drawn per block from its own copy
+            xs = stream(seed, "chunk", index)
+            ys = _skip(stream(seed, "chunk", index), m)
+            _skip(rng, 2 * m)
         whole = [rng.standard_normal(m) for _ in range(2 * half - 1)]
         vals = None if cyclic else np.empty(m)
         for lo in range(0, m, BLOCK):
             b = slice(lo, lo + BLOCK)
             parts = [p[b] for p in whole]
-            parts.append(rng.standard_normal(parts[0].size))  # the last, per block
+            size = parts[0].size
+            parts.append(rng.standard_normal(size))  # the last, per block
+            xb, yb = (x[b], y[b]) if cyclic else (_haar(group, size, xs), _haar(group, size, ys))
             decoded = round_to_group(
-                group, (rho * character(group, x[b]) + tau * _gaussian(parts[:half]))
-                * (rho * np.conj(character(group, y[b]))
+                group, (rho * character(group, xb) + tau * _gaussian(parts[:half]))
+                * (rho * np.conj(character(group, yb))
                    + tau * np.conj(_gaussian(parts[half:]))))
             del parts  # not held beside the loss temporaries
             if cyclic:
                 # 0/1 losses: their sum and sum of squares are this exact count
-                hits = int(np.count_nonzero(difference(group, x[b], y[b]) != decoded))
+                hits = int(np.count_nonzero(difference(group, xb, yb) != decoded))
                 total += hits
                 total_sq += hits
             else:
-                vals[b] = loss_values(group, difference(group, x[b], y[b]), decoded)
-            del decoded  # not held beside the next block's temporaries
+                vals[b] = loss_values(group, difference(group, xb, yb), decoded)
+            del decoded, xb, yb  # not held beside the next block's temporaries
         if not cyclic:
             total += float(vals.sum())
             total_sq += float(np.square(vals, out=vals).sum())
-        del x, y, whole, vals  # not held beside the next chunk's draws
+        x = y = whole = vals = None  # not held beside the next chunk's draws
     mean = total / n_samples
     var = max(0.0, total_sq - n_samples * mean * mean) / (n_samples - 1)
     return PredictionEstimate(mean=mean, stderr=math.sqrt(var / n_samples),

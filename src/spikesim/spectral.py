@@ -130,8 +130,20 @@ def _shifted(wm: np.ndarray, z, dtype) -> np.ndarray:
     return a
 
 
+def _product(alpha: float, a: np.ndarray, x: np.ndarray, beta: float, y: np.ndarray):
+    """alpha A x + beta y on scipy's BLAS, for one column x (?gemv) or more
+    (?gemm), in a copy of y.  A is C-ordered, so BLAS gets A.T, which it
+    reads in place, with the transpose flag set."""
+    if x.ndim == 1:
+        gemv = scipy.linalg.get_blas_funcs("gemv", (a, x))
+        return gemv(alpha, a.T, x, beta=beta, y=y, trans=1)
+    gemm = scipy.linalg.get_blas_funcs("gemm", (a, x))
+    return gemm(alpha, a.T, x, beta=beta, c=y, trans_a=1)
+
+
 def _cholesky_solve(wm: np.ndarray, z: float, b: np.ndarray, dtype, norm_b: float):
-    """(zI - W)^{-1} b by Cholesky for a real shift z, or None where that fails.
+    """(zI - W)^{-1} b by Cholesky for a real shift z, or None where that fails;
+    b is one column or more.
 
     None when LAPACK finds zI - W not positive definite, or when the relative
     residual of z x - W x - b, which reads both triangles of W, exceeds
@@ -149,8 +161,7 @@ def _cholesky_solve(wm: np.ndarray, z: float, b: np.ndarray, dtype, norm_b: floa
     if conj:
         np.conjugate(x, out=x)
     # the factor overwrote a, so the residual is taken against W
-    gemv = scipy.linalg.get_blas_funcs("gemv", (wm, x))
-    r = gemv(-1.0, wm.T, x, beta=1.0, y=z * x - b, overwrite_y=1, trans=1)
+    r = _product(-1.0, wm, x, 1.0, z * x - b)
     rel = np.linalg.norm(r) / norm_b
     return x if rel <= SOLVE_RTOL else None
 
@@ -162,6 +173,10 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     positive definite, as it is for Hermitian W and z above spec(W).  A
     complex shift, and a real one where Cholesky reports "not positive
     definite" or misses the residual bound, is solved by LU.
+
+    A real shift over a real W takes a complex b as the two real columns
+    [Re b, Im b] of one real solve: complex LAPACK and BLAS would each cast
+    the real n x n matrix to complex.
 
     Raises SingularShiftError when the relative residual of the LU solution
     exceeds 1e-10, which is how shifts too close to spec(W) are detected, and
@@ -181,22 +196,21 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
         return np.zeros(b.shape, dtype=np.result_type(dtype, b.dtype))
-    if real_shift:
-        x = _cholesky_solve(wm, shift, b, dtype, norm_b)
-        if x is not None:
-            return x
-    a = _shifted(wm, shift, dtype)
-    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), b,
-                              check_finite=False)
-    # a x - b on the BLAS that did the LU.  a is C-ordered, so BLAS gets a.T,
-    # which it reads in place, with the transpose flag set.
-    gemv = scipy.linalg.get_blas_funcs("gemv", (a, x))
-    r = gemv(1.0, a.T, x, beta=-1.0, y=b, trans=1)
-    rel = np.linalg.norm(r) / norm_b
-    if not np.isfinite(rel) or rel > SOLVE_RTOL:
-        raise SingularShiftError(
-            f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
-    return x
+    split = dtype == np.float64 and np.iscomplexobj(b)
+    rhs = np.column_stack((b.real, b.imag)) if split else b
+    x = _cholesky_solve(wm, shift, rhs, dtype, norm_b) if real_shift else None
+    if x is None:
+        a = _shifted(wm, shift, dtype)
+        x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), rhs,
+                                  check_finite=False)
+        # a x - b on the BLAS that did the LU
+        r = _product(1.0, a, x, -1.0, rhs)
+        rel = np.linalg.norm(r) / norm_b
+        if not np.isfinite(rel) or rel > SOLVE_RTOL:
+            raise SingularShiftError(
+                f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
+    # the columns [Re x, Im x], side by side in memory, are the parts of x
+    return np.ascontiguousarray(x).view(np.complex128)[:, 0] if split else x
 
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:

@@ -279,11 +279,16 @@ def fix_phase(vec):
 
 def posv_solve(w, z, b):
     """(zI - W)^{-1} b for a real z by one ?posv call on zI - W, with no
-    residual check: the Cholesky path of 5b53fd2, written plainly."""
+    residual check: the Cholesky path of 5b53fd2, written plainly.  A complex
+    b over a real W goes in as the real columns [Re b, Im b], as
+    resolvent_solve has taken it since it stopped casting a real W to
+    complex; before, ?posv took it whole, in complex arithmetic."""
     a = z * np.eye(w.shape[0], dtype=w.dtype) - w
-    _, x, info = scipy.linalg.get_lapack_funcs("posv", (a, b))(a, b, lower=1)
+    split = not np.iscomplexobj(w) and np.iscomplexobj(b)
+    rhs = np.column_stack((b.real, b.imag)) if split else b
+    _, x, info = scipy.linalg.get_lapack_funcs("posv", (a, rhs))(a, rhs, lower=1)
     assert info == 0
-    return x
+    return x[:, 0] + 1j * x[:, 1] if split else x
 
 
 def secular_root(w, v, theta):

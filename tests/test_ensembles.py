@@ -1,5 +1,7 @@
 """Noise ensemble samplers: symmetry, moments, determinism, sync model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from spikesim import (
     stream,
     sync_observation_matrix,
 )
+from spikesim import ensembles
 from spikesim.ensembles import ENTRY_LAWS, GAMMA_W
 from spikesim.harness.universality import check_moment_match
 from spikesim.groups import haar_sample
@@ -328,10 +331,15 @@ def _unit_vector(n, dtype, rng):
     raise AssertionError(f"no {dtype} unit vector of length {n} drawn")
 
 
-@pytest.mark.parametrize("n", [2, 5, 50, 300])
+# the largest n whose complex and real H fill one row block, and one past each
+ONE_BLOCK = [math.isqrt(ensembles.SPIKE_BLOCK_BYTES // size) + k for size in (16, 8)
+             for k in (0, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 5, 50, 300] + ONE_BLOCK)
 def test_build_spiked_matches_two_branch_reference(n):
     # numpy's promotion of the one sum picks the dtype the branches picked,
-    # and the bits agree
+    # and the bits agree, for H in one row block or several
     rng = stream(21, "spiked-reference", n)
     for dtype in (np.float32, np.float64, np.complex64, np.complex128):
         spike = SpikeConfig(theta=1.7, v=_unit_vector(n, dtype, rng))
@@ -341,6 +349,30 @@ def test_build_spiked_matches_two_branch_reference(n):
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got.imag), np.signbit(expected.imag))
+
+
+def test_build_spiked_block_size_moves_no_bit(monkeypatch):
+    n = 70
+    rng = stream(24, "spiked-blocks")
+    cases = [(SpikeConfig(theta=1.3, v=_unit_vector(n, dtype, rng)), noise)
+             for dtype in (np.float64, np.complex128)
+             for noise in (sample_goe(n, stream(25, n)), sample_gue(n, stream(26, n)))]
+    default = [build_spiked(spike, noise).entries for spike, noise in cases]
+    for size in (1, 3 * 16 * n, 1 << 30):  # one row, three rows, all rows
+        monkeypatch.setattr(ensembles, "SPIKE_BLOCK_BYTES", size)
+        for (spike, noise), want in zip(cases, default):
+            assert build_spiked(spike, noise).entries.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
+def test_build_spiked_peak_memory(sampler, traced_peak):
+    # in units of W's bytes: H filled by row blocks beside W reads about 1.3
+    # for real and complex W; the whole signal and its symmetrized copy beside
+    # H read 2.05
+    n = 400
+    w = sampler(n, stream(27, "w"))
+    spike = SpikeConfig(theta=2.0, v=_unit_vector(n, w.entries.dtype, stream(27, "v")))
+    assert traced_peak(build_spiked, spike, w) / w.entries.nbytes <= 1.5
 
 
 def test_build_spiked_dimension_mismatch():
@@ -414,11 +446,12 @@ def test_truth_or_haar_peak_memory(group, traced_peak):
     # in units of 8 m bytes, m = n(n-1)/2: u, the Haar draws, the gathered
     # truth and np.where's result peaked at 6.44; the truth computed first,
     # u kept only as a mask and the Haar draws copied into the truth need
-    # about 3.38
+    # about 3.38 with the difference of the gathered x_i and x_j a third
+    # array, and about 2.38 with x_i taking it in place
     n = 500
     m = n * (n - 1) // 2
     x = haar_sample(group, n, stream(20, "x", str(group)))
-    assert traced_peak(sample_truth_or_haar, group, x, 0.5, 0) / (8 * m) <= 3.6
+    assert traced_peak(sample_truth_or_haar, group, x, 0.5, 0) / (8 * m) <= 2.6
 
 
 def test_sync_observation_z2_exactly_real():

@@ -279,6 +279,43 @@ def test_resolvent_solve_real_shift_falls_back_to_lu_bits(field, case, lu_factor
     assert lu_factors == [(n, n)] * 2  # the solve's fallback, then the reference
 
 
+def _real_shifts(w):
+    """A real shift above spec(W), solved by Cholesky, and one midway in a wide
+    gap of the bulk, where Cholesky fails and LU solves."""
+    n = w.shape[0]
+    eigs = np.linalg.eigvalsh(w)
+    k = int(np.argmax(np.diff(eigs[n // 4: 3 * n // 4]))) + n // 4
+    return {"cholesky": eigs[-1] + 0.5, "lu": 0.5 * (eigs[k] + eigs[k + 1])}
+
+
+@pytest.mark.parametrize("path", ["cholesky", "lu"])
+def test_resolvent_real_w_complex_rhs_matches_numpy(path, lu_factors):
+    # a real shift over a real W solves [Re b, Im b] as two real columns
+    n = 60
+    w = sample_goe(n, 21).entries
+    z = _real_shifts(w)[path]
+    b = _rhs(n, "complex-vector")
+    b_before = b.copy()
+    x = resolvent_solve(w, z, b)
+    want = np.linalg.solve(z * np.eye(n) - w, b)
+    assert x.dtype == np.complex128 and x.shape == (n,)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.array_equal(b, b_before)
+    assert lu_factors == ([] if path == "cholesky" else [(n, n)])
+
+
+@pytest.mark.parametrize("path, bound", [("cholesky", 1.5), ("lu", 2.5)])
+def test_resolvent_real_w_complex_rhs_peak_memory(path, bound, traced_peak):
+    # in units of 8 n^2 bytes (one real n×n array): zI - W is the one working
+    # copy by Cholesky, and LU adds its factor.  Complex LAPACK and BLAS cast
+    # the real matrix to complex (2 units) for each call: 5.0 by Cholesky and
+    # 4.0 by LU, where the failed complex Cholesky comes first
+    n = 400
+    w = sample_goe(n, 24).entries
+    b = _rhs(n, "complex-vector")
+    assert traced_peak(resolvent_solve, w, _real_shifts(w)[path], b) / (8 * n * n) <= bound
+
+
 @pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
 def test_supercritical_root_and_eigenvector_run_no_lu(sampler, lu_factors):
     # every shift of a found root and its eigenvector lies above spec(W); a
