@@ -263,6 +263,7 @@ def build_spiked(spike: SpikeConfig, noise: HermitianMatrix) -> HermitianMatrix:
             sym /= 2.0
             s = sym
         np.add(s, w[lo:hi], out=h[lo:hi])
+        del s  # not held beside the next block or the Hermitian check
     return HermitianMatrix(h)
 
 

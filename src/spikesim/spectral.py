@@ -43,6 +43,10 @@ LOCAL_LAW_EDGE_MARGIN = 0.1
 SECULAR_MARGIN = 0.05
 SECULAR_STEP_RTOL = 4e-16
 SECULAR_MAX_STEPS = 100
+# rows per block of the restore after an in-place eigensolve, and the strict
+# upper triangle of one diagonal block
+RESTORE_ROWS = 64
+_BLOCK_UPPER = np.triu(np.ones((RESTORE_ROWS, RESTORE_ROWS), dtype=bool), 1)
 
 
 @dataclass(frozen=True)
@@ -94,17 +98,62 @@ def overlap_sq(u: np.ndarray, v: np.ndarray) -> float:
     return float(abs(np.vdot(u, v)) ** 2 / (nu * nu * nv * nv))
 
 
+def _in_place_ok(a: np.ndarray) -> bool:
+    """Whether LAPACK may solve the real ``a`` in place, with the bits of a
+    copy and an exact restore.
+
+    LAPACK reads the C-ordered a as a.T, whose lower triangle is a's upper
+    one, while a copy hands it a's lower one.  The two agree by value in any
+    ``HermitianMatrix``; with no zero entry, where +0 and -0 are equal but
+    differ in sign, they agree bit for bit, and so does the restore.
+    """
+    return (a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+            and bool(a.all()))
+
+
+def _mirror_lower(a: np.ndarray, diag: np.ndarray) -> None:
+    """Write a's strict lower triangle over its strict upper one, then
+    ``diag`` onto the diagonal, by blocks of RESTORE_ROWS rows."""
+    n = a.shape[0]
+    for lo in range(0, n, RESTORE_ROWS):
+        hi = min(n, lo + RESTORE_ROWS)
+        # rows lo:hi right of the block from columns lo:hi below it; the two
+        # do not overlap in memory, so numpy copies straight across
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+        # block.T overlaps block, so numpy reads it from a copy of the block
+        block = a[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=_BLOCK_UPPER[:hi - lo, :hi - lo])
+    a.reshape(-1)[:: n + 1] = diag
+
+
 def top_eigenpair(h: HermitianMatrix, planted: np.ndarray | None = None) -> SpectralEstimate:
     """Largest eigenpair and its gap, computing only the top two eigenpairs.
 
     ``HermitianMatrix`` already guarantees finite entries, so scipy's own
     finiteness scan is skipped.
+
+    A real H whose entries are writeable, C-contiguous and free of exact
+    zeros is solved in place, with no n×n copy: LAPACK reads it as H.T, which
+    equals H, and overwrites one triangle and the diagonal.  Before the call
+    returns, also by an exception, H gets them back bit for bit from its
+    other triangle and a saved diagonal; the result has the bits of the copy
+    route.  Meanwhile H holds LAPACK's work, so no other thread may read it
+    during the call.  Any other H, complex ones included, is solved in
+    scipy's copy.
     """
     n = h.n
     if n < 2:
         raise ValueError("need n >= 2 for a top eigenpair with a gap")
-    vals, vecs = scipy.linalg.eigh(h.entries, subset_by_index=[n - 2, n - 1],
-                                   driver="evr", check_finite=False)
+    a = h.entries
+    subset = dict(subset_by_index=[n - 2, n - 1], driver="evr", check_finite=False)
+    if _in_place_ok(a):
+        diag = a.diagonal().copy()
+        try:
+            vals, vecs = scipy.linalg.eigh(a.T, overwrite_a=True, **subset)
+        finally:
+            _mirror_lower(a, diag)
+    else:
+        vals, vecs = scipy.linalg.eigh(a, **subset)
     vec = fix_phase(vecs[:, -1])
     ov = overlap_sq(vec, planted) if planted is not None else None
     return SpectralEstimate(eigenvalue=float(vals[-1]), eigenvector=vec,
@@ -119,14 +168,15 @@ def _checked_entries(w) -> np.ndarray:
     return w.entries if isinstance(w, HermitianMatrix) else _hermitian_entries(w)
 
 
-def _shifted(wm: np.ndarray, z, dtype) -> np.ndarray:
-    """zI - W in ``dtype``, C-ordered, without an n×n identity.
+def _shifted(wm: np.ndarray, z, dtype, order: str = "C") -> np.ndarray:
+    """zI - W in ``dtype`` and memory ``order`` ("C" or "F"), without an n×n
+    identity.
 
     The off-diagonal is 0 - W, not -W, so a zero of W gives +0 there, as in
     z*eye(n) - W for a z with no negative part.
     """
-    a = np.subtract(0.0, wm, dtype=dtype)
-    a.reshape(-1)[:: a.shape[0] + 1] += z
+    a = np.subtract(0.0, wm, dtype=dtype, order=order)
+    a.reshape(-1, order=order)[:: a.shape[0] + 1] += z
     return a
 
 
@@ -172,7 +222,9 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     A real shift is tried first by Cholesky, which succeeds when zI - W is
     positive definite, as it is for Hermitian W and z above spec(W).  A
     complex shift, and a real one where Cholesky reports "not positive
-    definite" or misses the residual bound, is solved by LU.
+    definite" or misses the residual bound, is solved by LU.  Each route
+    builds zI - W once and factors it in place, so the residual is taken
+    against W.
 
     A real shift over a real W takes a complex b as the two real columns
     [Re b, Im b] of one real solve: complex LAPACK and BLAS would each cast
@@ -200,11 +252,18 @@ def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
     rhs = np.column_stack((b.real, b.imag)) if split else b
     x = _cholesky_solve(wm, shift, rhs, dtype, norm_b) if real_shift else None
     if x is None:
-        a = _shifted(wm, shift, dtype)
-        x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a, check_finite=False), rhs,
-                                  check_finite=False)
-        # a x - b on the BLAS that did the LU
-        r = _product(1.0, a, x, -1.0, rhs)
+        # F-ordered, zI - W is the array LAPACK would get from a C-ordered
+        # copy, so it is factored in place with the same bits
+        lu = scipy.linalg.lu_factor(_shifted(wm, shift, dtype, order="F"), overwrite_a=True,
+                                    check_finite=False)
+        x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
+        # the factors overwrote zI - W, so the residual z x - W x - b is taken
+        # against W; a complex x over a real W as the real columns
+        # [Re x, Im x], with no complex copy of W
+        xs, r = x, shift * x - rhs
+        if np.iscomplexobj(x) and not np.iscomplexobj(wm):
+            xs, r = (np.column_stack((c.real, c.imag)) for c in (x, r))
+        r = _product(-1.0, wm, xs, 1.0, r)
         rel = np.linalg.norm(r) / norm_b
         if not np.isfinite(rel) or rel > SOLVE_RTOL:
             raise SingularShiftError(

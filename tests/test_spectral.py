@@ -22,15 +22,19 @@ from spikesim import (
     build_spiked,
     eigvec_via_resolvent,
     fix_phase,
+    haar_sample,
     local_law_residual,
     outlier_eigenvalue,
     overlap_sq,
+    parse_group,
     resolvent_solve,
     sample_goe,
     sample_gue,
+    sample_truth_or_haar,
     secular_root,
     semicircle_cauchy_transform,
     stream,
+    sync_observation_matrix,
     top_eigenpair,
 )
 
@@ -125,6 +129,105 @@ def test_top_eigenpair_tied_top_eigenvalue():
     assert est.eigenvalue == pytest.approx(1.0, abs=1e-14)
     assert est.gap == 0.0
     assert np.linalg.norm(est.eigenvector) == pytest.approx(1.0, abs=1e-14)
+
+
+def _real_case(kind, n):
+    """A real n×n H of one of the kinds the harness solves."""
+    if kind == "goe":
+        return sample_goe(n, stream(n, "route", "goe"))
+    if kind == "spiked":
+        return _spiked_instance(n, "R", seed=n)
+    z2 = parse_group("Z/2")
+    x = haar_sample(z2, n, stream(n, "route", "x"))
+    return sync_observation_matrix(z2, sample_truth_or_haar(z2, x, 0.3, stream(n, "route", "y")))
+
+
+def _assert_route_bits(h):
+    """top_eigenpair has the bits of scipy's eigh on a copy of H and leaves
+    H's bytes as they were."""
+    n = h.n
+    before = h.entries.copy()
+    vals, vecs = scipy.linalg.eigh(h.entries.copy(), subset_by_index=[n - 2, n - 1],
+                                   driver="evr", check_finite=False)
+    est = top_eigenpair(h)
+    assert est.eigenvalue == vals[-1] and est.gap == vals[-1] - vals[-2]
+    assert est.eigenvector.tobytes() == fix_phase(vecs[:, -1]).tobytes()
+    assert h.entries.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 400])
+@pytest.mark.parametrize("kind", ["goe", "spiked", "z2-sync"])
+def test_top_eigenpair_in_place_route_bits(kind, n):
+    # n spans the edges of the restore's RESTORE_ROWS-row blocks
+    h = _real_case(kind, n)
+    assert spikesim.spectral._in_place_ok(h.entries)
+    _assert_route_bits(h)
+
+
+def _fallback_case(case):
+    n = 6
+    g = sample_goe(2 * n, stream(23, "fallback")).entries
+    if case == "signed-zero-pair":
+        a = g[:n, :n].copy()
+        a[0, 1], a[1, 0] = 0.0, -0.0
+        return HermitianMatrix(a)
+    if case == "exact-zeros":
+        return HermitianMatrix(np.diag(np.arange(1.0, n + 1.0)))
+    if case == "read-only":
+        a = g[:n, :n].copy()
+        a.setflags(write=False)
+        return HermitianMatrix(a)
+    if case == "strided-view":
+        return HermitianMatrix(g[::2, ::2])
+    return sample_gue(n, stream(23, "fallback"))
+
+
+@pytest.mark.parametrize("case", ["signed-zero-pair", "exact-zeros", "read-only",
+                                  "strided-view", "complex"])
+def test_top_eigenpair_copy_route_bits(case):
+    # any H the in-place route cannot give back bit for bit is solved in a copy
+    h = _fallback_case(case)
+    assert not spikesim.spectral._in_place_ok(h.entries)
+    _assert_route_bits(h)
+
+
+def test_top_eigenpair_restores_h_when_eigh_raises(monkeypatch):
+    h = _real_case("spiked", 65)
+    before = h.entries.copy()
+
+    def scribbling_eigh(a, **kwargs):
+        # LAPACK's share of the work: a.T's lower triangle and diagonal
+        assert kwargs["overwrite_a"] and np.shares_memory(a, h.entries)
+        a[np.tril_indices(a.shape[0])] = np.nan
+        raise RuntimeError("eigh failed")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", scribbling_eigh)
+    with pytest.raises(RuntimeError, match="eigh failed"):
+        top_eigenpair(h)
+    assert h.entries.tobytes() == before.tobytes()
+
+
+def test_top_eigenpair_peak_memory(traced_peak):
+    # in units of 8 n^2 bytes: a real H is solved in place (0.11 traced; a
+    # copy of H for LAPACK would add 1.0)
+    n = 400
+    h = _real_case("spiked", n)
+    assert traced_peak(top_eigenpair, h) / (8 * n * n) <= 0.25
+
+
+def test_spiked_eigensolve_peak_memory(traced_peak):
+    # crosscheck's shape: W is kept for the secular root while H = theta vv* + W
+    # is built and solved.  In units of 8 n^2 bytes, W, H and the sampler's or
+    # the build's blocks peak at 2.2; a copy of H in the eigensolve adds 1.0
+    n = 400
+
+    def instance():
+        v = unit(stream(25, "v").standard_normal(n))
+        w = sample_goe(n, stream(25, "w"))
+        top_eigenpair(build_spiked(SpikeConfig(theta=2.0, v=v), w))
+        return w
+
+    assert traced_peak(instance) / (8 * n * n) <= 2.3
 
 
 # ----------------------------------------------------------------- fix_phase
@@ -304,10 +407,11 @@ def test_resolvent_real_w_complex_rhs_matches_numpy(path, lu_factors):
     assert lu_factors == ([] if path == "cholesky" else [(n, n)])
 
 
-@pytest.mark.parametrize("path, bound", [("cholesky", 1.5), ("lu", 2.5)])
+@pytest.mark.parametrize("path, bound", [("cholesky", 1.5), ("lu", 1.5)])
 def test_resolvent_real_w_complex_rhs_peak_memory(path, bound, traced_peak):
     # in units of 8 n^2 bytes (one real n×n array): zI - W is the one working
-    # copy by Cholesky, and LU adds its factor.  Complex LAPACK and BLAS cast
+    # copy, factored in place by Cholesky or, after Cholesky fails, by LU
+    # (LU beside its own copy would hold 2.0).  Complex LAPACK and BLAS cast
     # the real matrix to complex (2 units) for each call: 5.0 by Cholesky and
     # 4.0 by LU, where the failed complex Cholesky comes first
     n = 400
