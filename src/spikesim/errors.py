@@ -12,7 +12,9 @@ class ValidationError(SpikesimError, ValueError):
 
 
 class SingularShiftError(SpikesimError):
-    """Linear solve at a shift too close to the spectrum (residual check failed)."""
+    """Resolvent solve refused: zI - W is not positive definite, or the residual
+    check failed (a shift inside spec(W) or too close to it, or a W that is not
+    Hermitian)."""
 
 
 class BracketError(SpikesimError):

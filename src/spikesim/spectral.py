@@ -8,12 +8,12 @@ the outlier eigenvalue solves the secular equation
 v* (zI - W)^{-1} v = 1/theta, and the top eigenvector is proportional to
 (lambda I - W)^{-1} v.  Both are implemented against linear solves so they can
 cross-check the eigensolver, plus an isotropic local-law residual diagnostic.
-Every shift of those two routes is real and above spec(W), where zI - W is
-positive definite, so a real shift is factored by Cholesky; a complex shift,
-and a real one Cholesky cannot solve, is factored by LU.  The secular root
-decides "outlier or not" by two such residual-checked solves at its bracket
-ends; its Newton iterates run on one tridiagonal reduction W = Q T Q*, which
-reads only one triangle of W, at O(n) per step.
+Every shift of those routes is real and above spec(W), where zI - W is
+positive definite, so every resolvent solve is one residual-checked Cholesky
+factorization, and a shift it cannot solve is refused.  The secular root
+decides "outlier or not" by two such solves at its bracket ends; its Newton
+iterates run on one tridiagonal reduction W = Q T Q*, which reads only one
+triangle of W, at O(n) per step.
 
 Dense linear algebra runs on scipy's BLAS only.  numpy and scipy may each
 bundle their own BLAS, each with its own thread pool; a numpy matrix product
@@ -168,15 +168,14 @@ def _checked_entries(w) -> np.ndarray:
     return w.entries if isinstance(w, HermitianMatrix) else _hermitian_entries(w)
 
 
-def _shifted(wm: np.ndarray, z, dtype, order: str = "C") -> np.ndarray:
-    """zI - W in ``dtype`` and memory ``order`` ("C" or "F"), without an n×n
-    identity.
+def _shifted(wm: np.ndarray, z: float, dtype) -> np.ndarray:
+    """zI - W in ``dtype``, C-ordered, without an n×n identity.
 
     The off-diagonal is 0 - W, not -W, so a zero of W gives +0 there, as in
     z*eye(n) - W for a z with no negative part.
     """
-    a = np.subtract(0.0, wm, dtype=dtype, order=order)
-    a.reshape(-1, order=order)[:: a.shape[0] + 1] += z
+    a = np.subtract(0.0, wm, dtype=dtype)
+    a.reshape(-1)[:: a.shape[0] + 1] += z
     return a
 
 
@@ -191,83 +190,54 @@ def _product(alpha: float, a: np.ndarray, x: np.ndarray, beta: float, y: np.ndar
     return gemm(alpha, a.T, x, beta=beta, c=y, trans_a=1)
 
 
-def _cholesky_solve(wm: np.ndarray, z: float, b: np.ndarray, dtype, norm_b: float):
-    """(zI - W)^{-1} b by Cholesky for a real shift z, or None where that fails;
-    b is one column or more.
+def resolvent_solve(w, z: float, b: np.ndarray) -> np.ndarray:
+    """Solve (zI - W) x = b for a real shift z above spec(W) and a vector b.
 
-    None when LAPACK finds zI - W not positive definite, or when the relative
-    residual of z x - W x - b, which reads both triangles of W, exceeds
-    SOLVE_RTOL.
-    """
-    a = _shifted(wm, z, dtype)
-    # LAPACK reads the C-ordered a in place as a.T: the same matrix when a is
-    # real symmetric, its conjugate when a is Hermitian, so there b goes in
-    # and x comes out conjugated.
-    conj = np.iscomplexobj(a)
-    posv = scipy.linalg.get_lapack_funcs("posv", (a, b))
-    _, x, info = posv(a.T, b.conj() if conj else b, lower=1, overwrite_a=1)
-    if info != 0:
-        return None
-    if conj:
-        np.conjugate(x, out=x)
-    # the factor overwrote a, so the residual is taken against W
-    r = _product(-1.0, wm, x, 1.0, z * x - b)
-    rel = np.linalg.norm(r) / norm_b
-    return x if rel <= SOLVE_RTOL else None
+    zI - W is built once and factored in place by one Cholesky ``?posv``,
+    which succeeds when it is positive definite, as it is for Hermitian W
+    and z above spec(W); the residual z x - W x - b, which reads both
+    triangles of W, is then taken against W itself.  A real W takes a
+    complex b as the two real columns [Re b, Im b] of one real solve:
+    complex LAPACK and BLAS would each cast the real n x n matrix to complex.
 
-
-def resolvent_solve(w, z: complex, b: np.ndarray) -> np.ndarray:
-    """Solve (zI - W) x = b for a vector b, verifying the residual.
-
-    A real shift is tried first by Cholesky, which succeeds when zI - W is
-    positive definite, as it is for Hermitian W and z above spec(W).  A
-    complex shift, and a real one where Cholesky reports "not positive
-    definite" or misses the residual bound, is solved by LU.  Each route
-    builds zI - W once and factors it in place, so the residual is taken
-    against W.
-
-    A real shift over a real W takes a complex b as the two real columns
-    [Re b, Im b] of one real solve: complex LAPACK and BLAS would each cast
-    the real n x n matrix to complex.
-
-    Raises SingularShiftError when the relative residual of the LU solution
-    exceeds 1e-10, which is how shifts too close to spec(W) are detected, and
-    ValueError for a non-finite shift or a b of any shape but (n,).  A zero b
-    returns zeros of the dtype a nonzero b of the same dtype would give.
+    Raises SingularShiftError where Cholesky reports "not positive definite"
+    or the relative residual exceeds SOLVE_RTOL: a shift inside spec(W) or
+    too close to it, or a raw W that is not Hermitian.  Raises
+    ValidationError for a z that is not a real number (complex ones
+    included), and ValueError for a non-finite z or a b of any shape but
+    (n,).  A zero b returns zeros of the dtype a nonzero b of the same dtype
+    would give.
     """
     wm = _entries(w)
     b = np.asarray(b)
     n = wm.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs shape {b.shape} is not the vector shape ({n},)")
-    if not np.isfinite(complex(z)):
+    z = checked_real(z, "z")
+    if not np.isfinite(z):
         raise ValueError(f"shift z = {z} must be finite")
-    real_shift = complex(z).imag == 0.0
-    shift = complex(z).real if real_shift else complex(z)
-    dtype = np.float64 if real_shift and not np.iscomplexobj(wm) else np.complex128
+    cplx = np.iscomplexobj(wm)
+    dtype = np.complex128 if cplx else np.float64
     norm_b = np.linalg.norm(b)
     if norm_b == 0:
         return np.zeros(b.shape, dtype=np.result_type(dtype, b.dtype))
-    split = dtype == np.float64 and np.iscomplexobj(b)
+    split = not cplx and np.iscomplexobj(b)
     rhs = np.column_stack((b.real, b.imag)) if split else b
-    x = _cholesky_solve(wm, shift, rhs, dtype, norm_b) if real_shift else None
-    if x is None:
-        # F-ordered, zI - W is the array LAPACK would get from a C-ordered
-        # copy, so it is factored in place with the same bits
-        lu = scipy.linalg.lu_factor(_shifted(wm, shift, dtype, order="F"), overwrite_a=True,
-                                    check_finite=False)
-        x = scipy.linalg.lu_solve(lu, rhs, check_finite=False)
-        # the factors overwrote zI - W, so the residual z x - W x - b is taken
-        # against W; a complex x over a real W as the real columns
-        # [Re x, Im x], with no complex copy of W
-        xs, r = x, shift * x - rhs
-        if np.iscomplexobj(x) and not np.iscomplexobj(wm):
-            xs, r = (np.column_stack((c.real, c.imag)) for c in (x, r))
-        r = _product(-1.0, wm, xs, 1.0, r)
-        rel = np.linalg.norm(r) / norm_b
-        if not np.isfinite(rel) or rel > SOLVE_RTOL:
-            raise SingularShiftError(
-                f"shift z = {z} is too close to the spectrum (relative residual {rel:.3e})")
+    a = _shifted(wm, z, dtype)
+    # LAPACK reads the C-ordered a in place as a.T: the same matrix when a is
+    # real symmetric, its conjugate when a is Hermitian, so there b goes in
+    # and x comes out conjugated.
+    posv = scipy.linalg.get_lapack_funcs("posv", (a, rhs))
+    _, x, info = posv(a.T, rhs.conj() if cplx else rhs, lower=1, overwrite_a=1)
+    refused = f"shift z = {z} is inside or too close to the spectrum, or W is not Hermitian"
+    if info != 0:
+        raise SingularShiftError(f"{refused} (zI - W is not positive definite, info {info})")
+    if cplx:
+        np.conjugate(x, out=x)
+    # the factor overwrote a, so the residual is taken against W
+    rel = np.linalg.norm(_product(-1.0, wm, x, 1.0, z * x - rhs)) / norm_b
+    if not rel <= SOLVE_RTOL:
+        raise SingularShiftError(f"{refused} (relative residual {rel:.3e})")
     # the columns [Re x, Im x], side by side in memory, are the parts of x
     return np.ascontiguousarray(x).view(np.complex128)[:, 0] if split else x
 
@@ -356,9 +326,9 @@ def secular_root(w, v: np.ndarray, theta: float) -> float:
 
     A raw array ``w`` must pass the ``HermitianMatrix`` checks (ValueError
     otherwise): the reduction reads one triangle while each bracket solve
-    reads both (the Cholesky residual is taken against all of W, and the LU
-    fallback factors all of it), so for any other w the bracket and the root
-    come from different matrices.
+    reads both (the Cholesky factor reads one, its residual is taken against
+    all of W), so for any other w the bracket and the root come from
+    different matrices.
     """
     wm = _checked_entries(w)
     v = _check_unit(v, "v")
@@ -395,10 +365,11 @@ def eigvec_via_resolvent(w, eigval: float, v: np.ndarray) -> np.ndarray:
     """Top eigenvector of theta*vv* + W from the noise resolvent alone.
 
     The rank-one identity makes R_W(lambda) v proportional to the spike
-    eigenvector; the output is normalized and phase-fixed like
-    ``top_eigenpair``.  The residual check of ``resolvent_solve`` rejects
-    shifts inside the spectrum; a raw ``w`` must pass the ``HermitianMatrix``
-    checks.
+    eigenvector for a real eigval above spec(W); the output is normalized and
+    phase-fixed like ``top_eigenpair``.  An eigval inside spec(W) or too close
+    to it raises SingularShiftError from ``resolvent_solve``, one that is not
+    a real number a ValidationError; a raw ``w`` must pass the
+    ``HermitianMatrix`` checks.
     """
     wm = _checked_entries(w)
     v = _check_unit(v, "v")
@@ -406,17 +377,19 @@ def eigvec_via_resolvent(w, eigval: float, v: np.ndarray) -> np.ndarray:
     return fix_phase(x / np.linalg.norm(x))
 
 
-def local_law_residual(w, z: complex, x: np.ndarray, y: np.ndarray) -> float:
+def local_law_residual(w, z: float, x: np.ndarray, y: np.ndarray) -> float:
     """|x* R_W(z) y - G(z) <x, y>| with G the semicircle Cauchy transform.
 
-    For Wigner noise this isotropic residual decays like n^{-1/2} at fixed z
-    outside the bulk.  Shifts with Re(z) <= 2 + ``LOCAL_LAW_EDGE_MARGIN`` (0.1)
-    are refused, and so is a raw ``w`` that fails the ``HermitianMatrix`` checks.
+    For Wigner noise this isotropic residual decays like n^{-1/2} at a fixed
+    real z outside the bulk.  A z that is not a real number (complex ones
+    included) raises ValidationError; z <= 2 + ``LOCAL_LAW_EDGE_MARGIN``
+    (0.1) is refused, and so is a raw ``w`` that fails the
+    ``HermitianMatrix`` checks.
     """
     wm = _checked_entries(w)
-    z = complex(z)
-    if z.real <= 2.0 + LOCAL_LAW_EDGE_MARGIN:
-        raise ValueError(f"Re(z) = {z.real} is inside the guarded spectral region "
+    z = checked_real(z, "z")
+    if z <= 2.0 + LOCAL_LAW_EDGE_MARGIN:
+        raise ValueError(f"z = {z} is inside the guarded spectral region "
                          f"(need > {2.0 + LOCAL_LAW_EDGE_MARGIN})")
     x = _check_unit(x, "x")
     y = _check_unit(y, "y")

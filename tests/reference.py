@@ -257,18 +257,6 @@ def prediction(group, theta, n_samples, seed):
     return mean, math.sqrt(var / n_samples)
 
 
-def lu_solve(w, z, b):
-    """(zI - W)^{-1} b by one LU of zI - W, built in the dtype the shift
-    needs, with no residual check: resolvent_solve's LU path as 997c786
-    left it, before 5b53fd2 built zI - W without an identity."""
-    n = w.shape[0]
-    if np.iscomplexobj(w) or complex(z).imag != 0.0:
-        a = z * np.eye(n, dtype=np.complex128) - w
-    else:
-        a = float(z) * np.eye(n) - w
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
-
-
 def fix_phase(vec):
     """vec times conj(p)/|p|, with p its entry of largest modulus, the lowest
     index on ties: the phase rule of ``top_eigenpair``, written out."""

@@ -19,6 +19,7 @@ from spikesim import (
     HermitianMatrix,
     SingularShiftError,
     SpikeConfig,
+    ValidationError,
     build_spiked,
     eigvec_via_resolvent,
     fix_phase,
@@ -274,8 +275,6 @@ def test_resolvent_zero_noise():
     b = np.arange(1.0, n + 1)
     x = resolvent_solve(np.zeros((n, n)), 2.0, b)
     assert np.allclose(x, b / 2.0, atol=1e-14)
-    xc = resolvent_solve(np.zeros((n, n)), 1.0 + 1.0j, b)
-    assert np.allclose(xc, b / (1.0 + 1.0j), atol=1e-14)
 
 
 def test_resolvent_diagonal():
@@ -304,10 +303,18 @@ def test_resolvent_refuses_non_vector_rhs(shape):
 @pytest.mark.parametrize("b_dtype", [np.float64, np.complex128, np.float32, np.complex64,
                                      np.int64])
 def test_resolvent_zero_rhs_dtype_matches_nonzero(sampler, z, b_dtype):
+    # the shift is read before a zero b returns early, so a zero b gets what a
+    # nonzero one gets: zeros of the same dtype, or the refusal of a complex z
     w = sampler(8, 0).entries
-    zero = resolvent_solve(w, z, np.zeros(8, dtype=b_dtype))
-    assert np.all(zero == 0.0)
-    assert zero.dtype == resolvent_solve(w, z, np.ones(8, dtype=b_dtype)).dtype
+    zero, one = np.zeros(8, dtype=b_dtype), np.ones(8, dtype=b_dtype)
+    if isinstance(z, complex):
+        for b in (zero, one):
+            with pytest.raises(ValidationError, match="z must be a real number"):
+                resolvent_solve(w, z, b)
+        return
+    x = resolvent_solve(w, z, zero)
+    assert np.all(x == 0.0)
+    assert x.dtype == resolvent_solve(w, z, one).dtype
 
 
 def _rhs(n, rhs):
@@ -327,76 +334,51 @@ def _assert_solve_bits(w, z, b, solve):
     assert np.array_equal(b, b_before)
 
 
-@pytest.fixture
-def lu_factors(monkeypatch):
-    """Count the LU factorizations made through scipy.linalg."""
-    calls = []
-    lu_factor = scipy.linalg.lu_factor
-
-    def counting_lu_factor(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lu_factor(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting_lu_factor)
-    return calls
-
-
-@pytest.mark.parametrize("field", ["R", "C"])
-@pytest.mark.parametrize("z", [2.7 + 0.4j])
-@pytest.mark.parametrize("rhs", ["real-vector", "complex-vector"])
-def test_resolvent_solve_matches_direct_lu_bits(field, z, rhs):
-    n = 60
-    w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
-    _assert_solve_bits(w, z, _rhs(n, rhs), reference.lu_solve)
-
-
 @pytest.mark.parametrize("field", ["R", "C"])
 @pytest.mark.parametrize("z", [2.7])
 @pytest.mark.parametrize("rhs", ["real-vector", "complex-vector"])
-def test_resolvent_solve_matches_direct_posv_bits(field, z, rhs, lu_factors):
-    # a real shift above the spectrum is solved by Cholesky alone
+def test_resolvent_solve_matches_direct_posv_bits(field, z, rhs):
+    # a real shift above the spectrum is solved by one Cholesky ?posv
     n = 60
     w = (sample_goe if field == "R" else sample_gue)(n, 21).entries
     assert z > np.linalg.eigvalsh(w)[-1]
     _assert_solve_bits(w, z, _rhs(n, rhs), reference.posv_solve)
-    assert lu_factors == []
 
 
 @pytest.mark.parametrize("field", ["R", "C"])
 @pytest.mark.parametrize("case", ["inside-spectrum", "not-hermitian"])
-def test_resolvent_solve_real_shift_falls_back_to_lu_bits(field, case, lu_factors):
+def test_resolvent_solve_refuses_shift_cholesky_cannot_solve(field, case):
     # Cholesky fails inside the spectrum ("not positive definite"), and on a
     # raw W that is not Hermitian it solves the matrix of one triangle, whose
-    # residual against the whole W misses SOLVE_RTOL; both take the LU path
+    # residual against the whole W misses SOLVE_RTOL; both are refused
     n = 60
     w = (sample_goe if field == "R" else sample_gue)(n, 21).entries.copy()
     if case == "inside-spectrum":
         eigs = np.linalg.eigvalsh(w)
         k = int(np.argmax(np.diff(eigs[n // 4: 3 * n // 4]))) + n // 4
         z = 0.5 * (eigs[k] + eigs[k + 1])  # midway in a wide gap of the bulk
+        why = "not positive definite"
     else:
         skew = stream(21, "skew").standard_normal(n * (n - 1) // 2)
         w[np.triu_indices(n, 1)] += 0.5 * skew / np.sqrt(n)
         z = 4.0
-    _assert_solve_bits(w, z, _rhs(n, "real-vector"), reference.lu_solve)
-    assert lu_factors == [(n, n)] * 2  # the solve's fallback, then the reference
+        why = "relative residual"
+    for rhs in ("real-vector", "complex-vector"):
+        with pytest.raises(SingularShiftError, match=why):
+            resolvent_solve(w, z, _rhs(n, rhs))
+    if case == "inside-spectrum":
+        # R(z) v at an interior z is no multiple of the spike eigenvector
+        v = unit(stream(21, "v").standard_normal(n)).astype(w.dtype)
+        with pytest.raises(SingularShiftError, match=why):
+            eigvec_via_resolvent(w, z, v)
 
 
-def _real_shifts(w):
-    """A real shift above spec(W), solved by Cholesky, and one midway in a wide
-    gap of the bulk, where Cholesky fails and LU solves."""
-    n = w.shape[0]
-    eigs = np.linalg.eigvalsh(w)
-    k = int(np.argmax(np.diff(eigs[n // 4: 3 * n // 4]))) + n // 4
-    return {"cholesky": eigs[-1] + 0.5, "lu": 0.5 * (eigs[k] + eigs[k + 1])}
-
-
-@pytest.mark.parametrize("path", ["cholesky", "lu"])
-def test_resolvent_real_w_complex_rhs_matches_numpy(path, lu_factors):
+@pytest.mark.parametrize("path", ["cholesky"])
+def test_resolvent_real_w_complex_rhs_matches_numpy(path):
     # a real shift over a real W solves [Re b, Im b] as two real columns
     n = 60
     w = sample_goe(n, 21).entries
-    z = _real_shifts(w)[path]
+    z = np.linalg.eigvalsh(w)[-1] + 0.5
     b = _rhs(n, "complex-vector")
     b_before = b.copy()
     x = resolvent_solve(w, z, b)
@@ -404,34 +386,18 @@ def test_resolvent_real_w_complex_rhs_matches_numpy(path, lu_factors):
     assert x.dtype == np.complex128 and x.shape == (n,)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert np.array_equal(b, b_before)
-    assert lu_factors == ([] if path == "cholesky" else [(n, n)])
 
 
-@pytest.mark.parametrize("path, bound", [("cholesky", 1.5), ("lu", 1.5)])
+@pytest.mark.parametrize("path, bound", [("cholesky", 1.5)])
 def test_resolvent_real_w_complex_rhs_peak_memory(path, bound, traced_peak):
     # in units of 8 n^2 bytes (one real n×n array): zI - W is the one working
-    # copy, factored in place by Cholesky or, after Cholesky fails, by LU
-    # (LU beside its own copy would hold 2.0).  Complex LAPACK and BLAS cast
-    # the real matrix to complex (2 units) for each call: 5.0 by Cholesky and
-    # 4.0 by LU, where the failed complex Cholesky comes first
+    # copy, factored in place by Cholesky.  Complex LAPACK and BLAS would cast
+    # the real matrix to complex (2 units) for each call
     n = 400
     w = sample_goe(n, 24).entries
     b = _rhs(n, "complex-vector")
-    assert traced_peak(resolvent_solve, w, _real_shifts(w)[path], b) / (8 * n * n) <= bound
-
-
-@pytest.mark.parametrize("sampler", [sample_goe, sample_gue])
-def test_supercritical_root_and_eigenvector_run_no_lu(sampler, lu_factors):
-    # every shift of a found root and its eigenvector lies above spec(W); a
-    # silent fallback to LU would keep the answers and lose the time
-    n, theta = 200, 2.0
-    w = sampler(n, stream(22, "w"))
-    v = unit(stream(22, "v").standard_normal(n)).astype(w.entries.dtype)
-    root = secular_root(w, v, theta)
-    eigvec_via_resolvent(w, root, v)
-    assert lu_factors == []
-    resolvent_solve(w, root + 0.5j, v)
-    assert lu_factors == [(n, n)]
+    z = np.linalg.eigvalsh(w)[-1] + 0.5
+    assert traced_peak(resolvent_solve, w, z, b) / (8 * n * n) <= bound
 
 
 def test_resolvent_rejects_shift_in_spectrum():
@@ -446,24 +412,45 @@ def test_resolvent_rejects_shift_in_spectrum():
 @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(3.0, np.nan),
                                complex(np.inf, 1.0)])
 def test_resolvent_refuses_non_finite_shift(z):
+    # a complex shift, finite or not, is refused as no real number
     w = sample_goe(8, 0).entries
+    error = "z must be a real number" if isinstance(z, complex) else "must be finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=error):
             resolvent_solve(w, z, np.ones(8))
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=error):
             resolvent_solve(w, z, np.zeros(8))
 
 
 def test_first_resolvent_identity():
-    # R(z1) - R(z2) = (z2 - z1) R(z1) R(z2), applied to a vector
+    # R(z1) - R(z2) = (z2 - z1) R(z1) R(z2), applied to a vector, at two real
+    # shifts above spec(W)
     w = sample_gue(50, 3)
     v = unit(np.ones(50))
-    z1, z2 = 3.0, 4.0 + 0.5j
+    z1, z2 = 3.0, 4.5
+    assert z1 > np.linalg.eigvalsh(w.entries)[-1]
     x1 = resolvent_solve(w, z1, v)
     x2 = resolvent_solve(w, z2, v)
     chained = (z2 - z1) * resolvent_solve(w, z1, resolvent_solve(w, z2, v))
     assert np.allclose(x1 - x2, chained, atol=1e-8)
+
+
+@pytest.mark.parametrize("route, name", [
+    (lambda w, z, v: resolvent_solve(w, z, v), "z"),
+    (lambda w, z, v: eigvec_via_resolvent(w, z, v), "eigval"),
+    (lambda w, z, v: local_law_residual(w, z, v, v), "z"),
+], ids=["resolvent_solve", "eigvec_via_resolvent", "local_law_residual"])
+def test_shift_routes_read_the_shift_by_one_rule(route, name):
+    # every shift is read by checked_real: no string, bool, None or complex
+    # gets through, and a numpy real gives the bits of the builtin float
+    n = 50
+    w = sample_goe(n, stream(25, "w"))
+    v = unit(stream(25, "v").standard_normal(n))
+    for z in ("2.5", True, None, 2.5 + 0j):
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number"):
+            route(w, z, v)
+    assert np.array_equal(route(w, np.float64(2.5), v), route(w, 2.5, v))
 
 
 # -------------------------------------------------------------- secular root
@@ -647,7 +634,7 @@ def test_secular_root_argument_validation():
 
 def test_secular_root_refuses_raw_w_that_is_not_hermitian(monkeypatch):
     # the tridiagonal reduction reads one triangle while each bracket solve
-    # reads both (the Cholesky residual against W and the LU fallback), so a
+    # reads both (the Cholesky factor one, its residual against W both), so a
     # raw w that is not exactly Hermitian is refused before any solve
     n = 200
     w = sample_goe(n, stream(19, "w")).entries.copy()
@@ -755,7 +742,7 @@ def test_local_law_guard_region():
     with pytest.raises(ValueError):
         local_law_residual(w, 2.05, v, v)
     with pytest.raises(ValueError):
-        local_law_residual(w, 1.0 + 3.0j, v, v)  # real part governs the guard
+        local_law_residual(w, 3.0 + 1.0j, v, v)  # a complex shift is no real number
     local_law_residual(w, 2.2, v, v)  # just outside the guard is fine
 
 
