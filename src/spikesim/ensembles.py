@@ -34,6 +34,9 @@ GAMMA_W = 10.0
 # stay near this size whatever n is
 SPIKE_BLOCK_BYTES = 1 << 17
 
+# rows per block of GOE's in-place a + a.T
+GOE_ROWS = 64
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -127,9 +130,18 @@ def sample_goe(n: int, seed) -> HermitianMatrix:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
-    a = rng.standard_normal((n, n))
-    h = a + a.T
-    del a
+    # a + a.T in the draw's own array, by blocks of GOE_ROWS rows: the rows
+    # right of each diagonal block take the columns below it, which then take
+    # their transpose; IEEE addition commutes, so these are the bits of a + a.T
+    h = rng.standard_normal((n, n))
+    for lo in range(0, n, GOE_ROWS):
+        hi = min(n, lo + GOE_ROWS)
+        upper = h[lo:hi, hi:]
+        upper += h[hi:, lo:hi].T
+        h[hi:, lo:hi] = upper.T
+        # block.T overlaps block, so numpy reads it from a copy of the block
+        block = h[lo:hi, lo:hi]
+        block += block.T
     h /= np.sqrt(2.0 * n)
     return HermitianMatrix(h)
 

@@ -14,21 +14,26 @@ q = Phi(-sqrt(theta^2 - 1)).
 One loop runs over chunks of ``CHUNK`` samples, each with its own named
 stream, and adds each chunk's two float sums in chunk order, so an estimate is
 reproducible for a given seed.  Each chunk draws x, y, g and h in that order.
-Draws from one stream come out in order, so the chunk's last draw (all of h
-for F = R; h's imaginary parts for F = C, whose real parts come whole first)
-is taken block by block with the same values, inside the loop over blocks of
-``BLOCK`` samples that runs the arithmetic.  A U(1) angle takes exactly one
-64-bit word of the Philox stream, so x and y are drawn block by block too,
-each from a fresh copy of the chunk's stream moved past the words before it
-(m words for y), while the chunk's own stream skips the 2m words of x and y
-before it draws g.  The other draws are chunk-sized: g and, for F = C, h's
-real parts, and cyclic x and y in the smallest unsigned type that holds a
-residue (``integers`` may reject a word, so the words they take are not a
-function of m).  All are freed before the next chunk draws.  A cyclic loss is
-0 or 1, so its sums are the exact mismatch count and no loss values are
-stored; U(1) keeps the chunk's loss values, whose pairwise float sum fixes
-the bits.  Only ``CHUNK`` names streams: every step is elementwise and the
-draws keep their order, so the block size moves no bit of an estimate.
+Draws from one stream come out in order, so a draw taken block by block has
+the values of the whole draw, and the loops over blocks of ``BLOCK`` samples
+that run the arithmetic take their draws as they go.  Cyclic x and y are
+drawn by blocks into chunk-length arrays of the smallest unsigned type that
+holds a residue: they are kept whole because ``integers`` may reject a word,
+so the words they take are not a function of m.  A real character (Z/2)
+rounds by the signs of the two factors alone, so a first pass draws g by
+blocks and keeps one byte per sample for its factor's sign, and a second
+draws h by blocks and counts the mismatches from those bytes.  A complex
+character holds g and, for F = C, h's real parts whole, and takes the last
+draw (all of h for the complex Z/2 table; h's imaginary parts for F = C) by
+blocks.  A U(1) angle takes exactly one 64-bit word of the Philox stream, so
+x and y are drawn by blocks too, each from a fresh copy of the chunk's stream
+moved past the words before it (m words for y), while the chunk's own stream
+skips the 2m words of x and y before it draws g.  All are freed before the
+next chunk draws.  A cyclic loss is 0 or 1, so its sums are the exact
+mismatch count and no loss values are stored; U(1) keeps the chunk's loss
+values, whose pairwise float sum fixes the bits.  Only ``CHUNK`` names
+streams: every step is elementwise and the draws keep their order, so the
+block size moves no bit of an estimate.
 """
 
 from __future__ import annotations
@@ -90,11 +95,17 @@ def _gaussian(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def _haar(group: Group, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m Haar elements; residues in the smallest unsigned type that holds
-    them (``character`` and ``difference`` widen each block to int64)."""
-    x = haar_sample(group, m, rng)
-    if isinstance(group, CyclicGroup):
-        return x.astype(np.min_scalar_type(group.order - 1))
+    """m Haar elements.  Residues are drawn by blocks of ``BLOCK`` into the
+    smallest unsigned type that holds them (``character`` and ``difference``
+    widen each block to int64), so no int64 array of m residues is built:
+    ``integers`` takes 32-bit halves of the stream's words from a buffer kept
+    in the bit generator, so the blocks give the values of one whole draw and
+    leave the stream where that draw leaves it."""
+    if not isinstance(group, CyclicGroup):
+        return haar_sample(group, m, rng)
+    x = np.empty(m, dtype=np.min_scalar_type(group.order - 1))
+    for lo in range(0, m, BLOCK):
+        x[lo:lo + BLOCK] = haar_sample(group, min(BLOCK, m - lo), rng)
     return x
 
 
@@ -105,6 +116,59 @@ def _skip(rng: np.random.Generator, words: int) -> np.random.Generator:
     rng.bit_generator.advance(words // 4)
     rng.bit_generator.random_raw(words % 4)
     return rng
+
+
+def _real_factor(group: Group, x: np.ndarray, rng: np.random.Generator, rho: float,
+                 tau: float) -> np.ndarray:
+    """rho * chi(x) + tau * g for the residues x and the next x.size real
+    Gaussians g of the stream, with the bits of that expression."""
+    a = character(group, x)
+    a *= rho
+    g = rng.standard_normal(x.size)
+    g *= tau
+    a += g
+    return a
+
+
+def _sign_mismatches(group: Group, x: np.ndarray, y: np.ndarray, rng: np.random.Generator,
+                     rho: float, tau: float) -> int:
+    """The mismatch count of one chunk of a group with real characters (Z/2,
+    residues 0 and 1), from g and h drawn block by block in stream order.
+
+    Only the sign of the product a * c of the factors a = rho chi(x) + tau g
+    and c = rho chi(y) + tau h decides the rounding.  Each factor is finite
+    and either 0 or at least about ulp(rho) in size, so their float product
+    never underflows: it is negative exactly when one factor is and neither
+    is zero, and a zero product rounds to the identity.  With x - y = x ^ y,
+    a sample is a mismatch exactly when (a < 0) ^ x differs from (c < 0) ^ y,
+    or, where a factor is 0, when x differs from y.  The first pass keeps
+    (a < 0) ^ x as one byte per sample, 2 where a is 0; the second compares
+    it with (c < 0) ^ y.
+    """
+    m = x.size
+    signs = np.empty(m, dtype=np.uint8)
+    zeros = False
+    for lo in range(0, m, BLOCK):
+        b = slice(lo, lo + BLOCK)
+        a = _real_factor(group, x[b], rng, rho, tau)
+        s = signs[b]
+        np.less(a, 0.0, out=s.view(np.bool_))
+        s ^= x[b]
+        if not a.all():
+            s[a == 0.0] = 2
+            zeros = True
+    hits = 0
+    for lo in range(0, m, BLOCK):
+        b = slice(lo, lo + BLOCK)
+        c = _real_factor(group, y[b], rng, rho, tau)
+        q = (c < 0.0).view(np.uint8)
+        q ^= y[b]
+        if zeros or not c.all():
+            zero = (signs[b] == 2) | (c == 0.0)
+            hits += int(np.count_nonzero(np.where(zero, x[b] != y[b], signs[b] != q)))
+        else:
+            hits += int(np.count_nonzero(signs[b] != q))
+    return hits
 
 
 def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPLES,
@@ -120,6 +184,8 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
     n_samples = checked_int(n_samples, "n_samples", MIN_SAMPLES)
     seed = checked_int(seed, "seed")
     cyclic = isinstance(group, CyclicGroup)
+    # real characters (Z/2) round by the signs of the two factors alone
+    real = not np.iscomplexobj(character(group, 0))
     # g's standard normal parts, then h's: one each for F = R, the real and the
     # imaginary part for F = C.  All but h's last part are drawn whole
     half = 1 if real_field(group) else 2
@@ -131,10 +197,16 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
         m = min(CHUNK, n_samples - done)
         rng = stream(seed, "chunk", index)
         if cyclic:
-            # residues are drawn whole: ``integers`` may reject a word, so the
+            # residues are kept whole: ``integers`` may reject a word, so the
             # words they take are not a function of m
             x = _haar(group, m, rng)
             y = _haar(group, m, rng)
+            if real:
+                hits = _sign_mismatches(group, x, y, rng, rho, tau)
+                total += hits
+                total_sq += hits
+                x = y = None  # not held beside the next chunk's draws
+                continue
         else:
             # an angle takes one word, so x is the stream's words [0, m) and y
             # its words [m, 2m): each is drawn per block from its own copy

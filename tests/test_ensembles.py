@@ -209,6 +209,15 @@ def test_gue_peak_memory(traced_peak):
     assert traced_peak(sample_gue, n, 0) / (16 * n * n) <= 2.5
 
 
+def test_goe_peak_memory(traced_peak):
+    # in units of 8 n^2 bytes, the size of the result: a + a.T beside the
+    # draw a peaked at 2.05; the sum taken in the draw's array by blocks of
+    # rows reads about 1.16, the block copies and the Hermitian check's blocks
+    # included
+    n = 400
+    assert traced_peak(sample_goe, n, 0) / (8 * n * n) <= 1.5
+
+
 def test_spectral_norm_near_bulk_edge():
     for w in (sample_goe(1000, 7), sample_gue(500, 7)):
         vals = np.linalg.eigvalsh(w.entries)

@@ -19,6 +19,8 @@ from spikesim import (
     z2_mismatch_exact,
 )
 from spikesim import groups, predictions, stream
+from spikesim.groups import CyclicGroup, haar_sample
+from spikesim.limits import overlap_limit, residual_variance_limit
 from spikesim.predictions import BLOCK, CHUNK
 
 import reference
@@ -231,7 +233,7 @@ def test_blocked_prediction_bits_match_unblocked_kernel(text):
                     (theta, seed, n)
 
 
-@pytest.mark.parametrize("group", [Z2, Z5, U1], ids=str)
+@pytest.mark.parametrize("group", [Z2, Z5, U1, parse_group("Z/257")], ids=str)
 def test_block_size_moves_no_bit(monkeypatch, group):
     # only CHUNK names streams; BLOCK slices the arithmetic and the chunk's
     # last draw (all of h for Z/2, h's imaginary parts otherwise)
@@ -256,6 +258,65 @@ def test_skip_leaves_stream_where_uniform_draws_do(words):
     assert next_draws(predictions._skip(stream(5, "chunk", 0), words)) == next_draws(drawn)
 
 
+@pytest.mark.parametrize("m", [1001, 32769])
+@pytest.mark.parametrize("block", [1, 7, 777])
+@pytest.mark.parametrize("order", [2, 5, 256, 257])
+def test_block_drawn_residues_match_one_draw(monkeypatch, order, block, m):
+    # ``integers`` takes 32-bit halves of the stream's words from a buffer in
+    # the bit generator, so residues drawn block by block are one whole draw's
+    # and leave the stream, that buffer included, where the whole draw does
+    def next_draws(rng):
+        return [rng.integers(0, order, size=3).tobytes(), rng.standard_normal(5).tobytes(),
+                rng.bit_generator.random_raw(3).tobytes()]
+
+    group = CyclicGroup(order)
+    monkeypatch.setattr(predictions, "BLOCK", block)
+    drawn = stream(5, "chunk", 0)
+    whole = haar_sample(group, m, drawn)
+    blocked = stream(5, "chunk", 0)
+    x = predictions._haar(group, m, blocked)
+    assert x.dtype == np.min_scalar_type(order - 1)
+    assert np.array_equal(x, whole)
+    assert next_draws(blocked) == next_draws(drawn)
+
+
+def test_z2_zero_factor_rounds_to_identity(monkeypatch):
+    # at theta = 2, tau = 1/2 and tau * (2 rho) == rho exactly, so a draw set
+    # to -2 rho chi makes its factor rho chi + tau g exactly 0; the product is
+    # then 0 and rounds to the identity.  Draws with |g| < 0.05 are set to
+    # +-2 rho by their sign, which zeroes about half of those factors, in g's
+    # pass and in h's
+    theta = 2.0
+    rho = math.sqrt(overlap_limit(theta))
+    assert math.sqrt(residual_variance_limit(theta)) * (2.0 * rho) == rho
+    substituted = []
+
+    class Substituted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, *args, **kwargs):
+            g = self.rng.standard_normal(*args, **kwargs)
+            near = np.abs(g) < 0.05
+            g[near] = np.copysign(2.0 * rho, g[near])
+            substituted.append(int(np.count_nonzero(near)))
+            return g
+
+    def substituted_stream(*key):
+        return Substituted(stream(*key))
+
+    monkeypatch.setattr(predictions, "stream", substituted_stream)
+    monkeypatch.setattr(reference, "stream", substituted_stream)
+    for n in (1000, 3 * BLOCK + 5):
+        est = predict_sync_loss(Z2, theta, n_samples=n, seed=21)
+        mean, err = reference.prediction(Z2, theta, n, 21)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), err.hex()), n
+    assert sum(substituted) > 1000
+
+
 @pytest.mark.parametrize("text, dtype", [("Z/256", np.uint8), ("Z/257", np.uint16)],
                          ids=["Z/256", "Z/257"])
 def test_residue_type_boundary_matches_reference(text, dtype):
@@ -275,15 +336,17 @@ def peak_units(traced_peak, group, m):
 @pytest.mark.parametrize("group, bound", [(Z2, 2.25), (Z5, 4.75), (U1, 5.75)],
                          ids=["Z/2", "Z/5", "U(1)"])
 def test_prediction_peak_memory(group, bound, traced_peak):
-    # in units of 8 bytes per sample: the whole draws are g (1 unit) for Z/2,
-    # g and h's real parts (3 units) for a complex field, and cyclic x and y
-    # (1/4 unit as residues); U(1) draws its angles per block and holds its
-    # loss values (1 unit).  At 2^18 samples a block is 1/8 unit, and the
-    # block's draws and temporaries add about 0.5 unit for Z/2 and 1.1 for a
-    # complex field: 1.75, 4.38 and 5.38 units in all, with numpy's temporary
-    # elision (a temporary operand's buffer takes the result), as on Linux.
-    # Drawing h whole, or keeping the cyclic loss values or int64 residues,
-    # fails the Z/2 bound; U(1) angles drawn whole read 7.13
+    # in units of 8 bytes per sample: Z/2 holds cyclic x and y and one sign
+    # byte per sample (3/8 unit), a complex field the whole g and h's real
+    # parts (3 units) beside cyclic x and y (1/4 unit as residues); U(1) draws
+    # its angles per block and holds its loss values (1 unit).  At 2^18
+    # samples a block is 1/8 unit, and the block's draws and temporaries add
+    # about 0.5 unit for Z/2 and 1.1 for a complex field: 0.89, 4.38 and 5.38
+    # units in all, with numpy's temporary elision (a temporary operand's
+    # buffer takes the result), as on Linux.  Drawing g whole reads 1.75 for
+    # Z/2 (see test_z2_prediction_peak_memory), and drawing h whole, or
+    # keeping the cyclic loss values or int64 residues, fails the Z/2 bound
+    # here; U(1) angles drawn whole read 7.13
     assert peak_units(traced_peak, group, 1 << 18) <= bound
 
 
@@ -296,3 +359,12 @@ def test_prediction_peak_memory_across_chunks(group, bound, traced_peak):
     # angles drawn whole read 6.28).  Holding a chunk's draws into the next
     # reads 2.38, 6.25 and 9.0 units
     assert peak_units(traced_peak, group, 2 * CHUNK + 1000) <= bound
+
+
+@pytest.mark.parametrize("m, bound", [(1 << 18, 1.25), (2 * CHUNK + 1000, 1.0)],
+                         ids=["2^18", "chunks"])
+def test_z2_prediction_peak_memory(m, bound, traced_peak):
+    # Z/2 draws g and h block by block and holds x, y and one sign byte per
+    # sample (3/8 unit) beside one block's factor and draws: 0.89 units at
+    # 2^18 samples and 0.51 across chunks.  g drawn whole reads 1.75 and 1.38
+    assert peak_units(traced_peak, Z2, m) <= bound
