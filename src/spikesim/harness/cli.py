@@ -35,7 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out-dir", default=None,
                        help="override out_dir from the config")
     sweep.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="with N > 1, the calling thread computes the predictions "
+                            "while N - 1 threads run the trials; no output byte "
+                            "depends on N")
 
     univ = sub.add_parser("universality",
                           help="run an ensemble A/B comparison from a config file")
@@ -43,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     univ.add_argument("--seed", type=int, default=None)
     univ.add_argument("--out-dir", default=None)
     univ.add_argument("--format", choices=("csv", "json", "both"), default="both")
-    univ.add_argument("--workers", type=int, default=1)
+    univ.add_argument("--workers", type=int, default=1, metavar="N",
+                      help="N threads run the trials; no output byte depends on N")
 
     predict = sub.add_parser("predict", help="evaluate the limit prediction once")
     predict.add_argument("--group", required=True, help="Z/L or U(1)")

@@ -10,6 +10,8 @@ import json
 import math
 import os
 import re
+import threading
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -463,6 +465,97 @@ def test_run_sweep_worker_invariance(tmp_path, group, noise_model):
         write_sweep_json(serial, p1)
         write_sweep_json(threaded, p3)
         assert Path(p1).read_bytes() == Path(p3).read_bytes()
+
+
+def test_run_sweep_predicts_on_the_calling_thread(tmp_path, monkeypatch):
+    calls = []
+    caller = threading.get_ident()
+    predicting = threading.Event()
+    predict, run_trial = sweep_module.predict_sync_loss, sweep_module._run_trial
+
+    def recorded_predict(*args, **kwargs):
+        calls.append(("predict", threading.get_ident()))
+        predicting.set()
+        return predict(*args, **kwargs)
+
+    def recorded_trial(*args, **kwargs):
+        calls.append(("trial", threading.get_ident()))
+        if threading.get_ident() != caller:
+            # a pool trial waits for the caller's first prediction, so the
+            # two run side by side rather than one after the other
+            assert predicting.wait(timeout=10)
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "predict_sync_loss", recorded_predict)
+    monkeypatch.setattr(sweep_module, "_run_trial", recorded_trial)
+    cfg = tiny_sweep_config()
+    reports = {}
+    for workers in (1, 2, 3):
+        calls.clear()
+        predicting.clear()
+        path = tmp_path / f"workers-{workers}.json"
+        write_sweep_json(run_sweep(cfg, workers=workers), str(path))
+        reports[workers] = path.read_bytes()
+        threads = {name: [ident for n, ident in calls if n == name]
+                   for name in ("predict", "trial")}
+        assert len(threads["predict"]) == len(cfg.theta_grid)
+        assert len(threads["trial"]) == len(cfg.theta_grid) * cfg.trials
+        assert set(threads["predict"]) == {caller}
+        if workers == 1:
+            assert set(threads["trial"]) == {caller}
+        else:
+            assert caller not in threads["trial"]
+            assert len(set(threads["trial"])) <= workers - 1
+    assert reports[1] == reports[2] == reports[3]
+
+
+class _Planted(RuntimeError):
+    pass
+
+
+def test_run_sweep_errors_surface_and_leave_no_thread(monkeypatch):
+    cfg = tiny_sweep_config()
+    solved = []
+    original = sweep_module.top_eigenpair
+
+    def failing_solve(h):
+        solved.append(None)
+        if len(solved) == 4:
+            raise _Planted("cell 4")
+        return original(h)
+
+    with monkeypatch.context() as m:
+        m.setattr(sweep_module, "top_eigenpair", failing_solve)
+        before = threading.active_count()
+        with pytest.raises(_Planted, match="^cell 4$"):
+            run_sweep(cfg, workers=2)
+        assert threading.active_count() == before
+
+    original_predict, run_trial = sweep_module.predict_sync_loss, sweep_module._run_trial
+    failed = threading.Event()
+    trials = []
+
+    def failing_predict(group, theta, **kwargs):
+        if theta == cfg.theta_grid[1]:
+            failed.set()
+            raise _Planted(f"theta {theta}")
+        return original_predict(group, theta, **kwargs)
+
+    def slow_trial(*args):
+        # the first trial is still running when the prediction fails
+        trials.append(args)
+        assert failed.wait(timeout=10)
+        time.sleep(0.2)
+        return run_trial(*args)
+
+    monkeypatch.setattr(sweep_module, "predict_sync_loss", failing_predict)
+    monkeypatch.setattr(sweep_module, "_run_trial", slow_trial)
+    before = threading.active_count()
+    with pytest.raises(_Planted, match="^theta 2.5$"):
+        run_sweep(cfg, workers=2)
+    assert threading.active_count() == before
+    # the queued trials were cancelled, not run to the end
+    assert len(trials) == 1
 
 
 @pytest.mark.parametrize("n", [40, 200])
@@ -1165,3 +1258,16 @@ def test_cli_refuses_workers_below_one(tmp_path, capsys, workers):
         assert main([command, cfg, "--out-dir", str(out_dir), "--workers", workers]) == 2
         assert f"workers must be an integer >= 1, got {workers}" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+def test_cli_workers_help_says_where_the_work_runs(capsys):
+    helps = {}
+    for command in ("sweep", "universality"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert "the calling thread computes the predictions while N - 1 threads run the trials" \
+        in helps["sweep"]
+    assert "N threads run the trials" in helps["universality"]
+    for text in helps.values():
+        assert "no output byte depends on N" in text
