@@ -16,7 +16,7 @@ from .errors import ValidationError, checked_int
 
 TWO_PI = 2.0 * np.pi
 
-# rows per block of the cyclic mismatch count in ``average_loss``
+# rows per block of ``average_loss``
 LOSS_ROWS = 64
 
 
@@ -226,18 +226,26 @@ def loss_values(group: Group, truth, estimate) -> np.ndarray:
     """
     if isinstance(group, CyclicGroup):
         return (difference(group, truth, estimate) != 0).astype(np.float64)
-    t = np.asarray(truth, dtype=np.float64)
-    e = np.asarray(estimate, dtype=np.float64)
-    return 1.0 - np.cos(t - e)
+    # the cosine and 1 - cosine run in place on the difference, the one
+    # allocation: the bits of 1.0 - np.cos(t - e)
+    d = np.asarray(np.subtract(np.asarray(truth, dtype=np.float64),
+                               np.asarray(estimate, dtype=np.float64)))
+    np.cos(d, out=d)
+    np.subtract(1.0, d, out=d)
+    return d[()]
 
 
 def average_loss(group: Group, m_true: np.ndarray, m_est: np.ndarray) -> float:
     """Mean loss over all n^2 ordered pairs (diagonal included).
 
-    Cyclic groups count the mismatches over blocks of ``LOSS_ROWS`` rows, so
-    no n x n difference is built; the count is an exact integer, so the count
-    over n^2 is the double the mean of the 0/1 losses gives.  U(1) takes the
-    mean of the whole loss array, whose pairwise float sum fixes its bits.
+    Both groups run over blocks of ``LOSS_ROWS`` rows.  Cyclic groups count
+    the mismatches, so no n x n array is built; the count is an exact integer,
+    so the count over n^2 is the double the mean of the 0/1 losses gives.
+    U(1) writes each block's losses into one n x n float64 array, the only
+    one it builds, and takes its mean: that array has the layout numpy gives
+    m_true - m_est (C order unless both inputs are Fortran-ordered), so the
+    pairwise float sum adds the values of the whole loss array in its order
+    and keeps its bits.
     """
     m_true = np.asarray(m_true)
     m_est = np.asarray(m_est)
@@ -250,4 +258,10 @@ def average_loss(group: Group, m_true: np.ndarray, m_est: np.ndarray) -> float:
                                                    m_est[lo:lo + LOSS_ROWS])))
                    for lo in range(0, m_true.shape[0], LOSS_ROWS))
         return hits / m_true.size
-    return float(np.mean(loss_values(group, m_true, m_est)))
+    losses = np.nditer((m_true, m_est, None), flags=("refs_ok",),
+                       op_flags=(("readonly",), ("readonly",), ("writeonly", "allocate")),
+                       op_dtypes=(None, None, np.float64)).operands[2]
+    for lo in range(0, m_true.shape[0], LOSS_ROWS):
+        losses[lo:lo + LOSS_ROWS] = loss_values(group, m_true[lo:lo + LOSS_ROWS],
+                                                m_est[lo:lo + LOSS_ROWS])
+    return float(np.mean(losses))

@@ -30,10 +30,12 @@ x and y are drawn by blocks too, each from a fresh copy of the chunk's stream
 moved past the words before it (m words for y), while the chunk's own stream
 skips the 2m words of x and y before it draws g.  All are freed before the
 next chunk draws.  A cyclic loss is 0 or 1, so its sums are the exact
-mismatch count and no loss values are stored; U(1) keeps the chunk's loss
-values, whose pairwise float sum fixes the bits.  Only ``CHUNK`` names
-streams: every step is elementwise and the draws keep their order, so the
-block size moves no bit of an estimate.
+mismatch count and no loss values are stored.  U(1) writes each block's loss
+values over that block of g's real parts, which the block has used up once
+its product is formed, and sums that chunk-length array: its pairwise float
+sum fixes the bits.  Only ``CHUNK`` names streams: every step is elementwise
+and the draws keep their order, so the block size moves no bit of an
+estimate.
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
             ys = _skip(stream(seed, "chunk", index), m)
             _skip(rng, 2 * m)
         whole = [rng.standard_normal(m) for _ in range(2 * half - 1)]
-        vals = None if cyclic else np.empty(m)
         for lo in range(0, m, BLOCK):
             b = slice(lo, lo + BLOCK)
             parts = [p[b] for p in whole]
@@ -232,9 +233,12 @@ def predict_sync_loss(group: Group, theta: float, n_samples: int = DEFAULT_SAMPL
                 total += hits
                 total_sq += hits
             else:
-                vals[b] = loss_values(group, difference(group, xb, yb), decoded)
+                # the block's real parts of g are used up once the product is
+                # formed: its losses take their place
+                whole[0][b] = loss_values(group, difference(group, xb, yb), decoded)
             del decoded, xb, yb  # not held beside the next block's temporaries
         if not cyclic:
+            vals = whole[0]
             total += float(vals.sum())
             total_sq += float(np.square(vals, out=vals).sum())
         x = y = whole = vals = None  # not held beside the next chunk's draws

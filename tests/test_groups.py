@@ -497,6 +497,34 @@ def test_cyclic_average_loss_peak_memory(traced_peak):
     assert traced_peak(average_loss, Z5, m_true, m_est) / (8 * n * n) <= 0.25
 
 
+@pytest.mark.parametrize("n", [1, LOSS_ROWS - 1, LOSS_ROWS, LOSS_ROWS + 1, 2 * LOSS_ROWS + 3, 400])
+def test_u1_average_loss_across_row_blocks(n):
+    # the row blocks write the losses into one array laid out as numpy lays
+    # out m_true - m_est, so the mean keeps the bits of the whole-array mean:
+    # C-ordered, both transposed (Fortran-ordered), one transposed, strided
+    # and integer-angle inputs
+    rng = np.random.default_rng(n)
+    t, e = (pairwise_matrix(U1, haar_sample(U1, n, rng)) for _ in range(2))
+    s, f = (rng.uniform(-10.0, 10.0, size=(2 * n, 2 * n))[::2, ::-2] for _ in range(2))
+    k, j = rng.integers(-7, 8, size=(2, n, n))
+    for a, b in ((t, e), (t.T, e.T), (t.T, e), (s, f), (s.T, f.T), (k, j), (k.T, j.T), (k, e)):
+        got = average_loss(U1, a, b)
+        want = reference.average_loss(U1, a, b)
+        assert type(got) is float and got.hex() == want.hex()
+    assert _same_bits(loss_values(U1, t, e), reference.loss_values(U1, t, e))
+    assert _same_bits(loss_values(U1, k.tolist(), 0.5), reference.loss_values(U1, k, 0.5))
+    assert _same_bits(loss_values(U1, 2, 0.5), reference.loss_values(U1, 2, 0.5))
+
+
+def test_u1_average_loss_peak_memory(traced_peak):
+    # in units of 8 n^2 bytes: the whole difference and its cosine peaked at
+    # 2.0; the one loss array and a block of rows read 1.16
+    n = 400
+    m_true = pairwise_matrix(U1, haar_sample(U1, n, stream(10, "peak")))
+    m_est = pairwise_matrix(U1, haar_sample(U1, n, stream(11, "peak")))
+    assert traced_peak(average_loss, U1, m_true, m_est) / (8 * n * n) <= 1.25
+
+
 def test_average_loss_translation_invariance():
     # relabeling every element by a common left shift preserves pairwise differences
     g = Z5

@@ -333,31 +333,33 @@ def peak_units(traced_peak, group, m):
     return traced_peak(predict_sync_loss, group, 2.0, n_samples=m, seed=0) / (8 * min(m, CHUNK))
 
 
-@pytest.mark.parametrize("group, bound", [(Z2, 2.25), (Z5, 4.75), (U1, 5.75)],
+@pytest.mark.parametrize("group, bound", [(Z2, 2.25), (Z5, 4.75), (U1, 4.75)],
                          ids=["Z/2", "Z/5", "U(1)"])
 def test_prediction_peak_memory(group, bound, traced_peak):
     # in units of 8 bytes per sample: Z/2 holds cyclic x and y and one sign
     # byte per sample (3/8 unit), a complex field the whole g and h's real
     # parts (3 units) beside cyclic x and y (1/4 unit as residues); U(1) draws
-    # its angles per block and holds its loss values (1 unit).  At 2^18
-    # samples a block is 1/8 unit, and the block's draws and temporaries add
-    # about 0.5 unit for Z/2 and 1.1 for a complex field: 0.89, 4.38 and 5.38
-    # units in all, with numpy's temporary elision (a temporary operand's
-    # buffer takes the result), as on Linux.  Drawing g whole reads 1.75 for
-    # Z/2 (see test_z2_prediction_peak_memory), and drawing h whole, or
-    # keeping the cyclic loss values or int64 residues, fails the Z/2 bound
-    # here; U(1) angles drawn whole read 7.13
+    # its angles per block and writes its loss values over g's real parts.
+    # At 2^18 samples a block is 1/8 unit, and the block's draws and
+    # temporaries add about 0.5 unit for Z/2 and 1.1 for a complex field:
+    # 0.89, 4.38 and 4.38 units in all, with numpy's temporary elision (a
+    # temporary operand's buffer takes the result), as on Linux.  Drawing g
+    # whole reads 1.75 for Z/2 (see test_z2_prediction_peak_memory), and
+    # drawing h whole, or keeping the cyclic loss values or int64 residues,
+    # fails the Z/2 bound here; U(1) loss values in an array of their own read
+    # 5.38, and U(1) angles drawn whole 6.13
     assert peak_units(traced_peak, group, 1 << 18) <= bound
 
 
-@pytest.mark.parametrize("group, bound", [(Z2, 1.75), (Z5, 4.0), (U1, 4.75)],
+@pytest.mark.parametrize("group, bound", [(Z2, 1.75), (Z5, 4.0), (U1, 3.75)],
                          ids=["Z/2", "Z/5", "U(1)"])
 def test_prediction_peak_memory_across_chunks(group, bound, traced_peak):
     # three chunks, in units of 8 bytes per chunk sample: each chunk's draws
     # and loss values are freed before the next chunk draws, so the peak is
-    # one chunk's (1.38 units for Z/2, 3.53 for Z/5, 4.34 for U(1), whose
-    # angles drawn whole read 6.28).  Holding a chunk's draws into the next
-    # reads 2.38, 6.25 and 9.0 units
+    # one chunk's (0.51 units for Z/2, 3.53 for Z/5, 3.34 for U(1), whose loss
+    # values in an array of their own read 4.34 and angles drawn whole 5.28).
+    # Holding a chunk's draws into the next reads 6.25 for Z/5 and 6.0 for
+    # U(1)
     assert peak_units(traced_peak, group, 2 * CHUNK + 1000) <= bound
 
 
